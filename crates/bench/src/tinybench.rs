@@ -15,6 +15,7 @@
 //! uses it to prove the bench targets still build and run without
 //! paying for real measurements.
 
+use fefet_telemetry::json::escape;
 use std::hint::black_box;
 use std::io::Write as _;
 use std::time::{Duration, Instant};
@@ -312,7 +313,7 @@ impl Report {
     pub fn to_json(&self, suite: &str) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"suite\": \"{}\",\n", json_escape(suite)));
+        out.push_str(&format!("  \"suite\": \"{}\",\n", escape(suite)));
         out.push_str(&format!(
             "  \"mode\": \"{}\",\n",
             if smoke() { "smoke" } else { "full" }
@@ -334,7 +335,7 @@ impl Report {
             }
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"median_s\": {:e}, \"min_s\": {:e}, \"iters\": {}, \"batches\": {}{}}}{}\n",
-                json_escape(&s.name),
+                escape(&s.name),
                 s.median_s,
                 s.min_s,
                 s.iters,
@@ -356,23 +357,6 @@ impl Report {
         let mut f = std::fs::File::create(path)?;
         f.write_all(self.to_json(suite).as_bytes())
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Formats a duration in seconds with an engineering suffix.
@@ -489,12 +473,5 @@ mod tests {
         assert_eq!(r.samples()[1].name, "pair_b");
         assert!(r.median_of("pair_a").is_some_and(|m| m > 0.0));
         assert!(r.median_of("pair_b").is_some_and(|m| m > 0.0));
-    }
-
-    #[test]
-    fn json_escaping_covers_specials() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\ny");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -690,7 +690,7 @@ impl Assembly {
         // Profiling (trace recorder attached): one clock read here and
         // one at the solve's end; counters-only instrumentation never
         // touches the clock.
-        let prof_t0 = opts.instr.profile().map(|(_, tr)| tr.now_ns());
+        let prof_t0 = opts.instr.profile_start();
         // Damping factor applied on the most recent iteration (1.0 =
         // full Newton step); reported in convergence diagnostics.
         let mut last_damping = 1.0;
@@ -900,9 +900,9 @@ impl Assembly {
                 if let Some(tel) = opts.instr.get() {
                     let iters = it + 1;
                     tel.solver.solves.inc();
-                    tel.solver.newton_iterations.record_usize(iters);
+                    tel.solver.newton_iterations.record(iters as f64);
                     tel.solver.residual_at_convergence.record(res_kcl);
-                    tel.solver.factors_per_solve.record_usize(factors);
+                    tel.solver.factors_per_solve.record(factors as f64);
                     // Fresh factorizations on whichever backend ran (a
                     // fully reused solve records zero); one
                     // back-substitution per iteration on either path.
@@ -932,19 +932,13 @@ impl Assembly {
                         tel.solver.bypass_misses.add(bm);
                     }
                 }
-                if let (Some(t0), Some((tel, tr))) = (prof_t0, opts.instr.profile()) {
-                    let end = tr.now_ns();
-                    tel.latency.solve_ns.record_ns(end.saturating_sub(t0));
-                    tr.complete_at(TraceEvent::NewtonSolve, t0, end, (it + 1) as u64);
-                }
+                opts.instr
+                    .profile_end(prof_t0, TraceEvent::NewtonSolve, (it + 1) as u64);
                 return Ok(it + 1);
             }
         }
-        if let (Some(t0), Some((tel, tr))) = (prof_t0, opts.instr.profile()) {
-            let end = tr.now_ns();
-            tel.latency.solve_ns.record_ns(end.saturating_sub(t0));
-            tr.complete_at(TraceEvent::NewtonSolve, t0, end, opts.max_newton as u64);
-        }
+        opts.instr
+            .profile_end(prof_t0, TraceEvent::NewtonSolve, opts.max_newton as u64);
         if let Some(tel) = opts.instr.get() {
             tel.solver.failures.inc();
             tel.solver.jacobian_reuses.add(reuses as u64);

@@ -154,17 +154,25 @@ impl Default for TransientOptions {
 ///
 /// [`CktError::Netlist`] for a non-positive `t_end`;
 /// [`CktError::Convergence`] if Newton fails even at the minimum step.
+pub fn transient(ckt: &Circuit, t_end: f64, opts: TransientOptions) -> Result<Trace> {
+    // The whole run is one profiled operation, failed runs included.
+    let t0 = opts.solver.instr.profile_start();
+    let trace = run(ckt, t_end, &opts);
+    opts.solver
+        .instr
+        .profile_end(t0, TraceEvent::Transient, (t_end * 1e15) as u64);
+    trace
+}
+
+/// The body of [`transient`].
 // fefet-lint: allow-item(hot-alloc) -- run driver: allocates trace storage and per-run state up front and on cold error/accept paths; the per-step warm path is solve_point_with, pinned zero-alloc by the alloctrack gate
 #[allow(clippy::needless_range_loop)]
-pub fn transient(ckt: &Circuit, t_end: f64, opts: TransientOptions) -> Result<Trace> {
+fn run(ckt: &Circuit, t_end: f64, opts: &TransientOptions) -> Result<Trace> {
     if !(t_end > 0.0) {
         return Err(CktError::Netlist(
             "transient: t_end must be positive".into(),
         ));
     }
-    // Wall-time span for the whole run (no-op when instrumentation is
-    // off); recorded on drop, including early error returns.
-    let _span = opts.solver.instr.span("ckt.transient");
     let dt_nom = if opts.dt > 0.0 {
         opts.dt
     } else {
@@ -347,7 +355,7 @@ pub fn transient(ckt: &Circuit, t_end: f64, opts: TransientOptions) -> Result<Tr
         // Profiling: the step timer spans every attempt (rejections
         // included) so the latency distribution reflects what a step
         // actually cost, not just its final successful solve.
-        let step_t0 = opts.solver.instr.profile().map(|(_, tr)| tr.now_ns());
+        let step_t0 = opts.solver.instr.profile_start();
         while bp_cursor < bps.len() && bps[bp_cursor] <= t * (1.0 + 1e-15) {
             bp_cursor += 1;
         }
@@ -502,15 +510,11 @@ pub fn transient(ckt: &Circuit, t_end: f64, opts: TransientOptions) -> Result<Tr
                 tel.steps.corner_snaps.inc();
             }
         }
-        if let (Some(t0), Some((tel, tr))) = (step_t0, opts.solver.instr.profile()) {
-            let end = tr.now_ns();
-            tel.latency
-                .transient_step_ns
-                .record_ns(end.saturating_sub(t0));
-            // arg: accepted step size in femtoseconds (integral, so it
-            // survives the u64 payload; ps would alias sub-ps steps).
-            tr.complete_at(TraceEvent::TransientStep, t0, end, (h * 1e15) as u64);
-        }
+        // arg: accepted step size in femtoseconds (integral, so it
+        // survives the u64 payload; ps would alias sub-ps steps).
+        opts.solver
+            .instr
+            .profile_end(step_t0, TraceEvent::TransientStep, (h * 1e15) as u64);
         if at_corner {
             // Restart the controller after a stimulus corner.
             dt_ctrl = dt_nom;

@@ -16,7 +16,7 @@ use fefet_ckt::trace::Trace;
 use fefet_ckt::transient::{transient, TransientOptions};
 use fefet_ckt::waveform::Waveform;
 use fefet_ckt::{CktError, Result};
-use fefet_telemetry::Instrumentation;
+use fefet_telemetry::{Instrumentation, TraceEvent};
 use std::sync::Arc;
 
 /// Edge time for control ramps (s).
@@ -399,6 +399,7 @@ impl FefetArray {
     /// lets [`FefetArray::write_disturb_map`] run per-row trials against
     /// one shared array instead of deep-cloning it per worker.
     fn write_row_trial(&self, row: usize, data: &[bool], t_pulse: f64) -> Result<ArrayOp> {
+        let t0 = self.instr.profile_start();
         if data.len() != self.cols {
             return Err(CktError::Netlist(format!(
                 "write_row: got {} bits for {} columns",
@@ -449,13 +450,14 @@ impl FefetArray {
         }
         let c = self.build(&row_waves, &col_waves);
         let t_end = T_START + t_pulse + t_restore + 0.5e-9;
-        let _span = self.instr.span("array.write_row");
         let trace = self.run(&c, t_end)?;
         let max_disturb = self.collect_disturb(&trace, Some(row));
         if let Some(tel) = self.instr.get() {
             tel.array.row_writes.inc();
             tel.array.disturb_max.update_max(max_disturb);
         }
+        self.instr
+            .profile_end(t0, TraceEvent::ArrayWriteRow, row as u64);
         Ok(ArrayOp {
             energy: trace.total_source_energy(),
             max_disturb,
@@ -503,9 +505,9 @@ impl FefetArray {
     ///
     /// Row range or convergence errors, as for [`FefetArray::write_row`].
     pub fn read_row(&self, row: usize, t_read: f64) -> Result<ArrayRead> {
+        let t0 = self.instr.profile_start();
         let c = self.read_circuit(row, t_read)?;
         let t_end = T_START + t_read + 0.4e-9;
-        let _span = self.instr.span("array.read_row");
         let trace = self.run(&c, t_end)?;
 
         let t_sample = T_START + t_read - 2.0 * T_EDGE;
@@ -551,6 +553,8 @@ impl FefetArray {
                 tel.array.read_margin_worst.update_min(i_on_min / i_off_max);
             }
         }
+        self.instr
+            .profile_end(t0, TraceEvent::ArrayReadRow, row as u64);
         Ok(ArrayRead {
             op: ArrayOp {
                 energy: trace.total_source_energy(),
@@ -564,7 +568,7 @@ impl FefetArray {
     }
 
     /// Reads several rows, fanning the independent row transients out
-    /// over the persistent worker pool ([`crate::parallel::pool_map`];
+    /// over the persistent worker pool ([`fefet_ckt::parallel::pool_map`];
     /// `threads = 0` means one per available hardware thread). Results
     /// are returned in the order of `rows` and are bit-identical to
     /// calling [`FefetArray::read_row`] serially — each read is a
@@ -579,7 +583,7 @@ impl FefetArray {
     /// `t_read` is the read window (s).
     pub fn read_rows(&self, rows: &[usize], t_read: f64, threads: usize) -> Result<Vec<ArrayRead>> {
         let this = std::sync::Arc::new(self.clone());
-        crate::parallel::pool_map(rows.to_vec(), threads, &self.instr, move |&row| {
+        fefet_ckt::parallel::pool_map(rows.to_vec(), threads, &self.instr, move |&row| {
             this.read_row(row, t_read)
         })
         .into_iter()
@@ -627,7 +631,7 @@ impl FefetArray {
         let rows: Vec<usize> = (0..self.rows).collect();
         let this = Arc::new(self.clone());
         let data = data.to_vec();
-        crate::parallel::pool_map(rows, threads, &self.instr, move |&row| {
+        fefet_ckt::parallel::pool_map(rows, threads, &self.instr, move |&row| {
             this.write_row_trial(row, &data, t_pulse)
                 .map(|op| op.max_disturb)
         })
@@ -746,16 +750,21 @@ mod tests {
     }
 
     /// One enabled handle must collect a whole write + parallel read
-    /// sweep: op counters, Newton/step statistics from the engine, the
-    /// read margin, and the per-op spans.
+    /// sweep: op counters, Newton/step statistics from the engine, and
+    /// the read margin. Counters-only handles time nothing; a profiled
+    /// handle records one latency sample and one trace event per op.
     #[test]
     fn instrumented_sweep_aggregates_into_one_sink() {
-        let mut a = small_array();
-        a.instr = Instrumentation::enabled();
-        a.write_row(0, &[true, false, true], 1.0e-9).unwrap();
-        let reads = a.read_all_rows(3e-9, 2).unwrap();
-        assert_eq!(reads.len(), 2);
-        let tel = a.instr.get().unwrap();
+        let sweep = |instr: Instrumentation| {
+            let mut a = small_array();
+            a.instr = instr;
+            a.write_row(0, &[true, false, true], 1.0e-9).unwrap();
+            let reads = a.read_all_rows(3e-9, 2).unwrap();
+            assert_eq!(reads.len(), 2);
+            a.instr
+        };
+        let counted = sweep(Instrumentation::enabled());
+        let tel = counted.get().unwrap();
         assert_eq!(tel.array.row_writes.get(), 1);
         assert_eq!(tel.array.row_reads.get(), 2);
         assert!(tel.solver.solves.get() > 0);
@@ -764,13 +773,27 @@ mod tests {
         assert!(tel.steps.dt_seconds.count() > 0);
         let margin = tel.array.read_margin_worst.get();
         assert!(margin.is_finite() && margin > 1.0, "margin {margin}");
-        let spans = tel.spans.snapshot();
-        assert!(
-            spans
-                .iter()
-                .any(|(n, c, _)| n == "array.read_row" && *c == 2),
-            "spans: {spans:?}"
-        );
+        assert_eq!(tel.latency.read_row_ns.count(), 0);
+        assert_eq!(tel.latency.write_row_ns.count(), 0);
+        assert_eq!(tel.latency.transient_ns.count(), 0);
+
+        let profiled = Instrumentation::enabled();
+        let tr = profiled.get().unwrap().attach_trace(1 << 16);
+        let profiled = sweep(profiled);
+        let tel = profiled.get().unwrap();
+        assert_eq!(tel.latency.write_row_ns.count(), 1);
+        assert_eq!(tel.latency.read_row_ns.count(), 2);
+        assert_eq!(tel.latency.transient_ns.count(), 3);
+        assert_eq!(tr.dropped(), 0);
+        let j = tr.to_chrome_json();
+        for (name, n) in [
+            ("array.write_row", 1),
+            ("array.read_row", 2),
+            ("ckt.transient", 3),
+        ] {
+            let events = j.matches(&format!("\"name\":\"{name}\"")).count();
+            assert_eq!(events, n, "{name} events");
+        }
     }
 
     /// The solver-backend knob must reach the engine, and the two

@@ -25,21 +25,21 @@
 //!
 //! Trial randomness is drawn **serially** at setup (one sub-seed per
 //! trial from the master seed); only the evaluation fans out over the
-//! persistent pool ([`crate::parallel::pool_map`]). Every outcome is a
+//! persistent pool ([`fefet_ckt::parallel::pool_map`]). Every outcome is a
 //! pure function of its sub-seed, and the pool preserves order, so a
 //! pooled run is bit-identical to a serial (`threads = 1`) run.
 //!
 //! Results stream into fixed-memory accumulators ([`Streaming`] and a
-//! [`fefet_telemetry::Histogram`]) — memory does not grow with the
+//! [`fefet_telemetry::QuantileHistogram`]) — memory does not grow with the
 //! trial count — and condense into a [`YieldReport`] that renders as a
 //! self-validating JSON [`RunReport`].
 
 use crate::array::FefetArray;
 use crate::cell::FefetCell;
-use crate::parallel::pool_map;
 use fefet_ckt::circuit::Circuit;
 use fefet_ckt::elements::{ElemState, EvalCtx, Integration};
 use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
+use fefet_ckt::parallel::pool_map;
 use fefet_ckt::plan::AnalysisCache;
 use fefet_ckt::{CktError, Result};
 use fefet_device::dynamics::be_step;
@@ -47,7 +47,7 @@ use fefet_device::fefet::Fefet;
 use fefet_device::variability::{sample_device, VariationSpec};
 use fefet_numerics::rng::Rng;
 use fefet_telemetry::json::fmt_f64;
-use fefet_telemetry::{Histogram, Instrumentation, RunReport, TraceEvent};
+use fefet_telemetry::{Instrumentation, QuantileHistogram, RunReport, TraceEvent};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -354,7 +354,8 @@ pub struct YieldReport {
     pub disturb_yield: f64,
     /// Read-margin distribution (dimensionless ratios).
     pub margin: StreamStats,
-    /// Histogram of log₁₀(margin), serialized JSON.
+    /// Read-margin histogram (half-decade buckets from 10⁻² to 10¹⁰),
+    /// serialized JSON.
     pub margin_hist_json: String,
     /// Disturb polarization-shift distribution (C/m² samples).
     pub disturb: StreamStats,
@@ -398,7 +399,7 @@ impl YieldReport {
             ),
         );
         r.section("read_margin", self.margin.to_json());
-        r.section("read_margin_log10_hist", self.margin_hist_json.clone());
+        r.section("read_margin_hist", self.margin_hist_json.clone());
         r.section("disturb_dp", self.disturb.to_json());
         let mut shmoo = String::with_capacity(128);
         shmoo.push_str(&format!(
@@ -786,7 +787,7 @@ impl YieldEngine {
         let mut margin_s = Streaming::new();
         let mut disturb_s = Streaming::new();
         let mut iters_s = Streaming::new();
-        let hist = Histogram::linear(-2.0, 10.0, 24);
+        let hist = QuantileHistogram::new(-2, 10, 2);
         let mut shmoo_counts = vec![0u64; nv * nt];
         let mut read_pass = 0usize;
         let mut write_pass = 0usize;
@@ -804,7 +805,7 @@ impl YieldEngine {
             for o in &outcomes {
                 if o.solver_ok {
                     margin_s.push(o.margin_ratio);
-                    hist.record(o.margin_ratio.max(1e-30).log10());
+                    hist.record(o.margin_ratio);
                     iters_s.push(o.warm_iters as f64);
                     if o.margin_ratio >= spec.margin_min {
                         read_pass += 1;
@@ -864,7 +865,7 @@ impl YieldEngine {
 fn run_trial_pooled(core: &Arc<EngineCore>, trial: usize) -> TrialOutcome {
     let engine = YieldEngine { core: core.clone() };
     let key = Arc::as_ptr(core) as usize;
-    let trial_t0 = core.instr.profile().map(|(_, tr)| tr.now_ns());
+    let trial_t0 = core.instr.profile_start();
     let out = SCRATCH.with(|slot| {
         let mut slot = slot.borrow_mut();
         let fresh = !matches!(&*slot, Some((k, _)) if *k == key);
@@ -880,9 +881,8 @@ fn run_trial_pooled(core: &Arc<EngineCore>, trial: usize) -> TrialOutcome {
             engine.run_trial(&mut scratch, trial)
         }
     });
-    if let (Some(t0), Some((_, tr))) = (trial_t0, core.instr.profile()) {
-        tr.complete_at(TraceEvent::YieldTrial, t0, tr.now_ns(), trial as u64);
-    }
+    core.instr
+        .profile_end(trial_t0, TraceEvent::YieldTrial, trial as u64);
     out
 }
 

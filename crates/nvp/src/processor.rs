@@ -15,7 +15,7 @@
 use crate::harvester::PowerTrace;
 use crate::workload::Benchmark;
 use fefet_mem::NvmParams;
-use fefet_telemetry::Instrumentation;
+use fefet_telemetry::{Instrumentation, TraceEvent};
 
 /// Backup policy of the nonvolatile controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,8 +162,9 @@ pub fn simulate_with(
     bench: &Benchmark,
     instr: &Instrumentation,
 ) -> NvpRun {
-    let _span = instr.span("nvp.simulate");
+    let t0 = instr.profile_start();
     let run = simulate_inner(cfg, trace, bench);
+    instr.profile_end(t0, TraceEvent::NvpSimulate, run.backups as u64);
     if let Some(tel) = instr.get() {
         tel.nvp.runs.inc();
         tel.nvp.backups.add(run.backups as u64);
@@ -430,10 +431,19 @@ mod tests {
             "backup energy {e_backup:e}"
         );
         assert!(tel.nvp.progress_s.get() > 0.0);
-        let spans = tel.spans.snapshot();
-        assert!(spans.iter().any(|(n, c, _)| n == "nvp.simulate" && *c == 2));
+        assert_eq!(tel.latency.nvp_simulate_ns.count(), 0, "counters only");
         // The instrumented path must not perturb the result.
         assert_eq!(run, simulate(&cfg, &tr, &bench()));
+
+        // Profiling times each call and traces it.
+        let trace = tel.attach_trace(64);
+        let profiled = simulate_with(&cfg, &tr, &bench(), &instr);
+        assert_eq!(run, profiled);
+        simulate_with(&cfg, &tr, &bench(), &instr);
+        assert_eq!(tel.latency.nvp_simulate_ns.count(), 2);
+        let j = trace.to_chrome_json();
+        assert_eq!(j.matches("\"name\":\"nvp.simulate\"").count(), 2, "{j}");
+        assert!(j.contains(&format!("\"arg\":{}", run.backups)), "{j}");
     }
 
     #[test]

@@ -3,44 +3,45 @@
 //! The solver pipeline (Newton → transient → array sweep → NVP study)
 //! runs thousands of SPICE-class solves per figure; this crate makes
 //! their health observable without giving up the zero-allocation warm
-//! path PR 2/3 established. It provides:
+//! path. One mechanism per job:
 //!
-//! - [`Counter`] / [`FloatCell`] / [`Histogram`]: lock-free atomic
-//!   metric primitives ([`metrics`]).
-//! - [`SpanRegistry`] / [`SpanGuard`]: wall-time span aggregation with
-//!   lock-free recording, keyed per worker thread ([`span`]).
-//! - [`QuantileHistogram`]: log-bucketed latency distributions with
-//!   p50/p90/p99 estimation and merge support ([`quantile`]).
+//! - [`Counter`] / [`FloatCell`]: lock-free atomic counters and float
+//!   accumulators ([`metrics`]).
+//! - [`QuantileHistogram`]: the one histogram — log-bucketed, with
+//!   p50/p90/p99 estimation, merge support and its non-empty buckets in
+//!   the JSON ([`quantile`]).
 //! - [`TraceRecorder`]: lock-free per-thread ring-buffer trace events
 //!   with Chrome-trace JSON export ([`trace`]).
 //! - [`ConvergenceReport`]: structured "newton exhausted" diagnostics,
 //!   and [`RunReport`]: a hand-serialized JSON artifact ([`report`]).
-//! - [`json`]: escaping, float formatting, and a dependency-free JSON
-//!   validator used by the CI smoke step.
-//! - [`Telemetry`]: the domain aggregate (solver / step / array / NVP
-//!   stats plus spans), and [`Instrumentation`]: the near-zero-cost
-//!   handle threaded through `SolverOptions`.
+//! - [`json`]: escaping, float formatting, and the one JSON parser
+//!   ([`json::parse`]) that validates artifacts and reads baselines.
+//! - [`Telemetry`]: the domain aggregate (solver / step / array / NVP /
+//!   pool / serving stats plus latency distributions), and
+//!   [`Instrumentation`]: the near-zero-cost handle threaded through
+//!   `SolverOptions`.
 //!
 //! # Cost model
 //!
 //! `Instrumentation` is an `Option<Arc<Telemetry>>`. Off (the default)
 //! it is a `None` check — the solver's hot loop sees one predictable
 //! branch per *solve* (not per iteration) and no clock reads. On, all
-//! recording is relaxed-atomic and allocation-free, so one `Telemetry`
-//! shared across `parallel_map` workers aggregates without locks and
-//! the alloctrack warm-solve invariant holds in both states.
+//! counter recording is relaxed-atomic and allocation-free, so one
+//! `Telemetry` shared across `parallel_map` workers aggregates without
+//! locks and the alloctrack warm-solve invariant holds in both states.
+//! Timing is profiling-only: the clock is read, and trace events and
+//! [`LatencyStats`] samples recorded, only once a trace recorder is
+//! attached ([`Instrumentation::profile`]).
 
 pub mod json;
 pub mod metrics;
 pub mod quantile;
 pub mod report;
-pub mod span;
 pub mod trace;
 
-pub use metrics::{Counter, FloatCell, Histogram};
+pub use metrics::{Counter, FloatCell};
 pub use quantile::QuantileHistogram;
 pub use report::{ConvergenceReport, RunReport};
-pub use span::{SpanGuard, SpanRegistry, SpanStats};
 pub use trace::{TraceEvent, TraceRecorder};
 
 use std::sync::{Arc, OnceLock};
@@ -55,9 +56,9 @@ pub struct SolverStats {
     /// Solves that exhausted the iteration budget.
     pub failures: Counter,
     /// Newton iterations per converged solve.
-    pub newton_iterations: Histogram,
+    pub newton_iterations: QuantileHistogram,
     /// |KCL residual| (A) at convergence, per solve.
-    pub residual_at_convergence: Histogram,
+    pub residual_at_convergence: QuantileHistogram,
     /// Dense LU factorizations (one per Newton iteration on the dense
     /// backend).
     pub dense_factors: Counter,
@@ -66,8 +67,9 @@ pub struct SolverStats {
     pub sparse_refactors: Counter,
     /// Triangular back-substitutions (dense or sparse), total.
     pub back_substitutions: Counter,
-    /// LU (re)factorizations per converged solve.
-    pub factors_per_solve: Histogram,
+    /// LU (re)factorizations per converged solve (0 when every
+    /// iteration reused a stored factorization).
+    pub factors_per_solve: QuantileHistogram,
     /// High-water mark: nonzeros in the sparse MNA pattern.
     pub sparse_pattern_nnz: Counter,
     /// High-water mark: fill-in nonzeros added by symbolic analysis
@@ -112,20 +114,17 @@ pub struct SolverStats {
 
 impl Default for SolverStats {
     fn default() -> Self {
-        let iteration_edges = || {
-            vec![
-                1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0, 100.0,
-            ]
-        };
         Self {
             solves: Counter::new(),
             failures: Counter::new(),
-            newton_iterations: Histogram::with_edges(iteration_edges()),
-            residual_at_convergence: Histogram::log10_decades(-18, 0),
+            // Counts 1–100 at 8 buckets per decade; 0 lands in
+            // underflow, 100 and up in overflow.
+            newton_iterations: QuantileHistogram::new(0, 2, 8),
+            residual_at_convergence: QuantileHistogram::new(-18, 0, 1),
             dense_factors: Counter::new(),
             sparse_refactors: Counter::new(),
             back_substitutions: Counter::new(),
-            factors_per_solve: Histogram::with_edges(iteration_edges()),
+            factors_per_solve: QuantileHistogram::new(0, 2, 8),
             sparse_pattern_nnz: Counter::new(),
             sparse_fill_nnz: Counter::new(),
             sparse_symbolic_analyses: Counter::new(),
@@ -203,7 +202,7 @@ pub struct StepStats {
     /// the node-voltage history instead of copied from the last point.
     pub predicted: Counter,
     /// Accepted timestep sizes (s), one decade per bucket.
-    pub dt_seconds: Histogram,
+    pub dt_seconds: QuantileHistogram,
 }
 
 impl Default for StepStats {
@@ -214,7 +213,7 @@ impl Default for StepStats {
             rejected_lte: Counter::new(),
             corner_snaps: Counter::new(),
             predicted: Counter::new(),
-            dt_seconds: Histogram::log10_decades(-15, -3),
+            dt_seconds: QuantileHistogram::new(-15, -3, 1),
         }
     }
 }
@@ -428,11 +427,12 @@ impl PoolStats {
     }
 }
 
-/// Latency distributions for the three profiled operations, recorded
-/// only while a [`TraceRecorder`] is attached (see
-/// [`Instrumentation::profile`]): plain counter-level instrumentation
-/// never reads the clock per solve, which is what keeps its measured
-/// overhead at the <2% the PR 4 bench pinned.
+/// Latency distributions of the profiled operations, recorded only
+/// while a [`TraceRecorder`] is attached (see
+/// [`Instrumentation::profile`]): counters-only instrumentation never
+/// reads the clock per operation, which is what keeps its measured
+/// overhead at the <2% the solvers bench pins. Each histogram pairs
+/// with one [`TraceEvent`] ([`LatencyStats::for_event`]).
 #[derive(Debug)]
 pub struct LatencyStats {
     /// Wall time per Newton point solve (ns).
@@ -441,6 +441,16 @@ pub struct LatencyStats {
     pub transient_step_ns: QuantileHistogram,
     /// Wall time per pool work item (ns).
     pub pool_task_ns: QuantileHistogram,
+    /// Wall time per whole transient analysis (ns).
+    pub transient_ns: QuantileHistogram,
+    /// Wall time per array row read (ns).
+    pub read_row_ns: QuantileHistogram,
+    /// Wall time per array row write transient (ns).
+    pub write_row_ns: QuantileHistogram,
+    /// Wall time per NVP simulation (ns).
+    pub nvp_simulate_ns: QuantileHistogram,
+    /// Wall time per Monte Carlo yield trial (ns).
+    pub yield_trial_ns: QuantileHistogram,
 }
 
 impl Default for LatencyStats {
@@ -449,17 +459,46 @@ impl Default for LatencyStats {
             solve_ns: QuantileHistogram::latency_ns(),
             transient_step_ns: QuantileHistogram::latency_ns(),
             pool_task_ns: QuantileHistogram::latency_ns(),
+            transient_ns: QuantileHistogram::latency_ns(),
+            read_row_ns: QuantileHistogram::latency_ns(),
+            write_row_ns: QuantileHistogram::latency_ns(),
+            nvp_simulate_ns: QuantileHistogram::latency_ns(),
+            yield_trial_ns: QuantileHistogram::latency_ns(),
         }
     }
 }
 
 impl LatencyStats {
+    /// The histogram timing `ev`'s operations; `None` for point events
+    /// (factorizations, pool claims and steals).
+    #[inline]
+    pub fn for_event(&self, ev: TraceEvent) -> Option<&QuantileHistogram> {
+        match ev {
+            TraceEvent::NewtonSolve => Some(&self.solve_ns),
+            TraceEvent::TransientStep => Some(&self.transient_step_ns),
+            TraceEvent::PoolTask => Some(&self.pool_task_ns),
+            TraceEvent::Transient => Some(&self.transient_ns),
+            TraceEvent::ArrayReadRow => Some(&self.read_row_ns),
+            TraceEvent::ArrayWriteRow => Some(&self.write_row_ns),
+            TraceEvent::NvpSimulate => Some(&self.nvp_simulate_ns),
+            TraceEvent::YieldTrial => Some(&self.yield_trial_ns),
+            TraceEvent::Factor | TraceEvent::PoolClaim | TraceEvent::PoolSteal => None,
+        }
+    }
+
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"solve_ns\":{},\"transient_step_ns\":{},\"pool_task_ns\":{}}}",
+            "{{\"solve_ns\":{},\"transient_step_ns\":{},\"pool_task_ns\":{},\
+             \"transient_ns\":{},\"read_row_ns\":{},\"write_row_ns\":{},\
+             \"nvp_simulate_ns\":{},\"yield_trial_ns\":{}}}",
             self.solve_ns.to_json(),
             self.transient_step_ns.to_json(),
             self.pool_task_ns.to_json(),
+            self.transient_ns.to_json(),
+            self.read_row_ns.to_json(),
+            self.write_row_ns.to_json(),
+            self.nvp_simulate_ns.to_json(),
+            self.yield_trial_ns.to_json(),
         )
     }
 }
@@ -569,8 +608,8 @@ impl ServingStats {
     }
 }
 
-/// The domain aggregate: every stats group plus the span registry.
-/// Shared across threads through an `Arc` inside [`Instrumentation`].
+/// The domain aggregate: every stats group. Shared across threads
+/// through an `Arc` inside [`Instrumentation`].
 #[derive(Debug, Default)]
 pub struct Telemetry {
     pub solver: SolverStats,
@@ -579,7 +618,6 @@ pub struct Telemetry {
     pub nvp: NvpStats,
     pub pool: PoolStats,
     pub serving: ServingStats,
-    pub spans: SpanRegistry,
     /// Latency distributions, populated only while profiling (a trace
     /// recorder is attached).
     pub latency: LatencyStats,
@@ -622,20 +660,7 @@ impl Telemetry {
         s.push_str(&format!(",\"nvp\":{}", self.nvp.to_json()));
         s.push_str(&format!(",\"pool\":{}", self.pool.to_json()));
         s.push_str(&format!(",\"serving\":{}", self.serving.to_json()));
-        s.push_str(&format!(",\"latency\":{}", self.latency.to_json()));
-        s.push_str(",\"spans\":{");
-        for (i, (name, count, total_ns)) in self.spans.snapshot().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"total_ns\":{}}}",
-                json::escape(name),
-                count,
-                total_ns
-            ));
-        }
-        s.push_str("}}");
+        s.push_str(&format!(",\"latency\":{}}}", self.latency.to_json()));
         s
     }
 }
@@ -698,12 +723,26 @@ impl Instrumentation {
         Some((tel, tr))
     }
 
-    /// Opens a wall-time span; the returned guard records on drop. Off
-    /// handles return a no-op guard without touching the clock.
-    pub fn span(&self, name: &str) -> SpanGuard {
-        match &self.0 {
-            Some(tel) => SpanGuard::active(tel.spans.handle(name)),
-            None => SpanGuard::noop(),
+    /// Opens a profiled operation: the recorder's clock when
+    /// profiling, `None` (and no clock read) otherwise. Pair with
+    /// [`Instrumentation::profile_end`].
+    #[inline]
+    pub fn profile_start(&self) -> Option<u64> {
+        self.profile().map(|(_, tr)| tr.now_ns())
+    }
+
+    /// Closes an operation opened at `t0` by
+    /// [`Instrumentation::profile_start`]: one `ev` complete event with
+    /// payload `arg`, and one sample in `ev`'s [`LatencyStats`]
+    /// histogram. A `None` start records nothing.
+    #[inline]
+    pub fn profile_end(&self, t0: Option<u64>, ev: TraceEvent, arg: u64) {
+        if let (Some(t0), Some((tel, tr))) = (t0, self.profile()) {
+            let end = tr.now_ns();
+            if let Some(h) = tel.latency.for_event(ev) {
+                h.record_ns(end.saturating_sub(t0));
+            }
+            tr.complete_at(ev, t0, end, arg);
         }
     }
 }
@@ -731,7 +770,7 @@ mod tests {
         let instr = Instrumentation::default();
         assert!(!instr.is_enabled());
         assert!(instr.get().is_none());
-        drop(instr.span("anything"));
+        assert!(instr.profile_start().is_none());
         assert_eq!(instr, Instrumentation::off());
     }
 
@@ -741,7 +780,7 @@ mod tests {
         let clone = instr.clone();
         if let Some(tel) = clone.get() {
             tel.solver.solves.inc();
-            tel.solver.newton_iterations.record_usize(4);
+            tel.solver.newton_iterations.record(4.0);
         }
         let tel = instr.get().unwrap();
         assert_eq!(tel.solver.solves.get(), 1);
@@ -759,15 +798,71 @@ mod tests {
     }
 
     #[test]
-    fn spans_record_through_the_handle() {
+    fn profiled_ops_record_only_when_profiling() {
         let instr = Instrumentation::enabled();
-        {
-            let _g = instr.span("unit.test");
+        let t0 = instr.profile_start();
+        assert!(t0.is_none(), "counters-only handles read no clock");
+        instr.profile_end(t0, TraceEvent::ArrayReadRow, 3);
+        let tel = instr.get().unwrap();
+        assert_eq!(tel.latency.read_row_ns.count(), 0);
+
+        let tr = tel.attach_trace(64);
+        let t0 = instr.profile_start();
+        assert!(t0.is_some());
+        instr.profile_end(t0, TraceEvent::ArrayReadRow, 3);
+        assert_eq!(tel.latency.read_row_ns.count(), 1);
+        assert_eq!(tr.events_recorded(), 1);
+        let j = tr.to_chrome_json();
+        assert!(j.contains("\"name\":\"array.read_row\""), "{j}");
+        assert!(j.contains("\"arg\":3"), "{j}");
+    }
+
+    #[test]
+    fn every_timed_event_has_its_own_histogram() {
+        let lat = LatencyStats::default();
+        let timed = [
+            TraceEvent::NewtonSolve,
+            TraceEvent::TransientStep,
+            TraceEvent::PoolTask,
+            TraceEvent::YieldTrial,
+            TraceEvent::Transient,
+            TraceEvent::ArrayReadRow,
+            TraceEvent::ArrayWriteRow,
+            TraceEvent::NvpSimulate,
+        ];
+        for (i, a) in timed.iter().enumerate() {
+            let ha = lat.for_event(*a).unwrap();
+            for b in &timed[i + 1..] {
+                assert!(!std::ptr::eq(ha, lat.for_event(*b).unwrap()), "{a:?}/{b:?}");
+            }
         }
-        let snap = instr.get().unwrap().spans.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].0, "unit.test");
-        assert_eq!(snap[0].1, 1);
+        for point in [
+            TraceEvent::Factor,
+            TraceEvent::PoolClaim,
+            TraceEvent::PoolSteal,
+        ] {
+            assert!(lat.for_event(point).is_none());
+        }
+    }
+
+    #[test]
+    fn stat_layouts_cover_their_ranges() {
+        // Neither end of each documented range may fall into the
+        // underflow or overflow bucket.
+        let tel = Telemetry::new();
+        let cases = [
+            (&tel.solver.newton_iterations, 1.0, 99.0),
+            (&tel.solver.factors_per_solve, 1.0, 99.0),
+            (&tel.solver.residual_at_convergence, 1e-18, 0.99),
+            (&tel.steps.dt_seconds, 1e-15, 0.99e-3),
+        ];
+        for (h, lo, hi) in cases {
+            h.record(lo);
+            h.record(hi);
+            let counts = h.bucket_counts();
+            assert_eq!(counts[0], 0, "{lo} underflowed");
+            assert_eq!(counts[counts.len() - 1], 0, "{hi} overflowed");
+        }
     }
 
     #[test]
@@ -837,7 +932,7 @@ mod tests {
         assert!(json::validate(&tel.to_json()).is_ok(), "{}", tel.to_json());
 
         tel.solver.solves.inc();
-        tel.solver.newton_iterations.record_usize(3);
+        tel.solver.newton_iterations.record(3.0);
         tel.steps.accepted.add(10);
         tel.steps.dt_seconds.record(4e-12);
         tel.array.row_reads.inc();
@@ -854,7 +949,6 @@ mod tests {
         tel.serving.fast_path.add(990);
         tel.serving.escalations.add(10);
         tel.serving.read_ns.record_ns(250);
-        let _ = tel.spans.handle("x");
         let j = tel.to_json();
         assert!(json::validate(&j).is_ok(), "{j}");
         assert!(j.contains("\"solves\":1"));
@@ -863,7 +957,6 @@ mod tests {
         assert!(j.contains("\"predicted\":9"));
         assert!(j.contains("\"workers_active\":4"));
         assert!(j.contains("\"fast_path\":990"));
-        assert!(j.contains("\"x\":{\"count\":0"));
     }
 
     #[test]
@@ -912,7 +1005,7 @@ mod tests {
                     for _ in 0..25 {
                         if let Some(tel) = worker.get() {
                             tel.solver.solves.inc();
-                            tel.solver.newton_iterations.record_usize(5);
+                            tel.solver.newton_iterations.record(5.0);
                         }
                     }
                 });

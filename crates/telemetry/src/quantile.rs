@@ -1,4 +1,5 @@
-//! Log-bucketed quantile histograms for latency distributions.
+//! Log-bucketed quantile histograms: the crate's one distribution
+//! type.
 //!
 //! A [`QuantileHistogram`] is the HDR-histogram idea reduced to what
 //! the solver pipeline needs: a fixed, construction-time bucket layout
@@ -10,9 +11,9 @@
 //! bounded relative error set by the sub-buckets-per-decade resolution,
 //! and two histograms with the same layout merge by adding counts.
 //!
-//! The ROADMAP's serving-layer item wants p50/p99 service latency; the
-//! yield engine wants per-trial duration spread; neither can afford to
-//! keep every sample. Buckets are the standard answer.
+//! Latencies (ns), Newton iteration and factorization counts, residuals
+//! (A), timestep sizes (s) and the yield engine's read margins all
+//! record into it; only the layout differs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -27,9 +28,8 @@ use crate::json::fmt_f64;
 /// bounds quantile estimates to one bucket edge ≈ ±15%). Samples below
 /// the range land in an underflow bucket, samples at or above the top
 /// land in a saturating overflow bucket, so no finite sample is ever
-/// lost. Negative and non-finite samples are treated as out-of-model
-/// and counted in the underflow bucket (negative) or ignored
-/// (non-finite), mirroring [`crate::Histogram`].
+/// lost. Zero and negative samples count in the underflow bucket (and
+/// in `sum`/`min`); non-finite samples are ignored.
 #[derive(Debug)]
 pub struct QuantileHistogram {
     /// Lowest decade exponent: bucket 1 starts at `10^lo_exp`.
@@ -264,15 +264,36 @@ impl QuantileHistogram {
         Ok(())
     }
 
-    /// Serializes the summary as one JSON object:
-    /// `{"count":…,"sum":…,"min":…,"max":…,"mean":…,"p50":…,"p90":…,"p99":…}`.
-    /// Quantiles of an empty histogram serialize as `null`.
+    /// Serializes the histogram as one JSON object:
+    /// `{"count":…,"sum":…,"min":…,"max":…,"mean":…,"p50":…,"p90":…,"p99":…,"buckets":[[edge,n],…]}`.
+    /// `buckets` lists the non-empty buckets in ascending order as
+    /// `[upper edge, count]` pairs: a bucket holds the samples below its
+    /// edge and at or above the previous bucket's edge (the underflow
+    /// bucket's edge is the range floor; the overflow bucket's is
+    /// `null`, unbounded). Summary values of an empty histogram
+    /// serialize as `null`.
     // fefet-lint: allow-item(hot-alloc) -- snapshot/export path, never on the warm recording path
     pub fn to_json(&self) -> String {
         let opt = |v: Option<f64>| v.map_or_else(|| "null".to_string(), fmt_f64);
+        let last = self.buckets.len() - 1;
+        let mut buckets = String::new();
+        for (i, n) in self.bucket_counts().into_iter().enumerate() {
+            if n == 0 {
+                continue;
+            }
+            if !buckets.is_empty() {
+                buckets.push(',');
+            }
+            let edge = if i == last {
+                "null".to_string()
+            } else {
+                fmt_f64(self.upper_edge(i))
+            };
+            buckets.push_str(&format!("[{edge},{n}]"));
+        }
         format!(
             "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\
-             \"p50\":{},\"p90\":{},\"p99\":{}}}",
+             \"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[{buckets}]}}",
             self.count(),
             fmt_f64(self.sum()),
             opt(self.min()),
@@ -288,7 +309,7 @@ impl QuantileHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate;
+    use crate::json::{parse, validate, Json};
 
     #[test]
     fn empty_histogram_reports_nothing() {
@@ -433,6 +454,48 @@ mod tests {
         let j = h.to_json();
         assert!(validate(&j).is_ok(), "{j}");
         assert!(j.contains("\"count\":1000"));
+    }
+
+    #[test]
+    fn json_lists_nonempty_buckets_with_upper_edges() {
+        let h = QuantileHistogram::new(0, 2, 1); // [1, 10), [10, 100)
+        for v in [0.5, 3.0, 4.0, 50.0, 1e4] {
+            h.record(v);
+        }
+        let v = parse(&h.to_json()).unwrap();
+        let pairs: Vec<(Option<f64>, f64)> = v
+            .get("buckets")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|p| {
+                let p = p.as_arr().unwrap();
+                (p[0].as_f64(), p[1].as_f64().unwrap())
+            })
+            .collect();
+        assert_eq!(
+            pairs,
+            vec![
+                (Some(1.0), 1.0),
+                (Some(10.0), 2.0),
+                (Some(100.0), 1.0),
+                (None, 1.0)
+            ]
+        );
+        let empty = QuantileHistogram::latency_ns().to_json();
+        assert!(empty.ends_with("\"buckets\":[]}"), "{empty}");
+    }
+
+    #[test]
+    fn zero_samples_count_and_set_the_minimum() {
+        // `factors_per_solve` records 0 for a fully reused solve.
+        let h = QuantileHistogram::new(0, 2, 8);
+        h.record(0.0);
+        h.record(3.0);
+        assert_eq!(h.count(), 2);
+        assert!((h.sum() - 3.0).abs() < 1e-15);
+        assert_eq!(h.min(), Some(0.0));
+        assert_eq!(h.bucket_counts()[0], 1, "zero lands in underflow");
     }
 
     #[test]

@@ -64,6 +64,14 @@ pub enum TraceEvent {
     PoolTask = 5,
     /// One Monte Carlo yield trial. `arg` = trial index.
     YieldTrial = 6,
+    /// One whole transient analysis. `arg` = end time in femtoseconds.
+    Transient = 7,
+    /// One array row read. `arg` = row index.
+    ArrayReadRow = 8,
+    /// One array row write transient. `arg` = row index.
+    ArrayWriteRow = 9,
+    /// One nonvolatile-processor simulation. `arg` = backups taken.
+    NvpSimulate = 10,
 }
 
 impl TraceEvent {
@@ -77,6 +85,10 @@ impl TraceEvent {
             TraceEvent::PoolSteal => "pool.steal",
             TraceEvent::PoolTask => "pool.task",
             TraceEvent::YieldTrial => "yield.trial",
+            TraceEvent::Transient => "ckt.transient",
+            TraceEvent::ArrayReadRow => "array.read_row",
+            TraceEvent::ArrayWriteRow => "array.write_row",
+            TraceEvent::NvpSimulate => "nvp.simulate",
         }
     }
 
@@ -89,6 +101,10 @@ impl TraceEvent {
             4 => Some(TraceEvent::PoolSteal),
             5 => Some(TraceEvent::PoolTask),
             6 => Some(TraceEvent::YieldTrial),
+            7 => Some(TraceEvent::Transient),
+            8 => Some(TraceEvent::ArrayReadRow),
+            9 => Some(TraceEvent::ArrayWriteRow),
+            10 => Some(TraceEvent::NvpSimulate),
             _ => None,
         }
     }
@@ -128,9 +144,9 @@ struct Lane {
 }
 
 /// Process-wide monotone thread-slot ids: the first time a thread asks,
-/// it gets the next id, cached thread-locally forever. Shared by the
-/// span registry (per-worker span keys) and anything else that needs a
-/// stable small integer per thread without hashing `ThreadId`s.
+/// it gets the next id, cached thread-locally forever: a stable small
+/// integer per thread without hashing `ThreadId`s (unnamed lanes are
+/// labelled with it).
 static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
@@ -141,7 +157,7 @@ thread_local! {
 }
 
 /// This thread's process-wide slot id (assigned on first call).
-pub fn thread_slot() -> usize {
+fn thread_slot() -> usize {
     THREAD_SLOT.with(|s| {
         let v = s.get();
         if v != usize::MAX {
@@ -326,7 +342,7 @@ impl TraceRecorder {
     /// (`{"traceEvents":[…]}`), one `tid` per lane, timestamps in
     /// microseconds relative to the recorder epoch. The output loads
     /// directly in `chrome://tracing` / Perfetto and passes
-    /// [`crate::json::validate`].
+    /// [`crate::json::parse`].
     // fefet-lint: allow-item(hot-alloc) -- export path: serializing the whole ring after a run, never on the recording path
     pub fn to_chrome_json(&self) -> String {
         let mut s = String::with_capacity(4096);

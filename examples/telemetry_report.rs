@@ -3,9 +3,10 @@
 //! Newton failure for its structured [`ConvergenceReport`], runs the
 //! NVP simulator against a harvesting trace, and writes:
 //!
-//! - `BENCH_telemetry.json` — the aggregate run report, now including a
+//! - `BENCH_telemetry.json` — the aggregate run report, including a
 //!   self-checked `latency` section (solve / transient-step / pool-task
-//!   quantiles) and the tracing-overhead A/B bench;
+//!   / transient / row-op / NVP quantiles and buckets) and the
+//!   tracing-overhead A/B bench;
 //! - `TRACE_telemetry.json` — a Chrome trace-event dump of the run,
 //!   openable in `chrome://tracing` or <https://ui.perfetto.dev>, with
 //!   one lane per recording thread.
@@ -219,6 +220,12 @@ fn run() -> Result<(), String> {
             lat.transient_step_ns.count() > 0,
         ),
         ("pool-task latency recorded", lat.pool_task_ns.count() > 0),
+        (
+            "one read_row sample per row read",
+            lat.read_row_ns.count() == ROWS as u64,
+        ),
+        ("one write_row sample", lat.write_row_ns.count() == 1),
+        ("one nvp.simulate sample", lat.nvp_simulate_ns.count() == 1),
         ("solve p50 <= p99", lat.solve_ns.p50() <= lat.solve_ns.p99()),
         (
             "step p50 <= p99",

@@ -12,7 +12,7 @@
 //! `YIELD_TRIALS` to override the Monte Carlo depth (CI's smoke lane
 //! uses a small value; a full run leaves the committed artifact at the
 //! repository root). Set `YIELD_TRACE=1` to also record a Chrome
-//! trace-event profile of the run (per-trial spans plus solver and
+//! trace-event profile of the run (per-trial events plus solver and
 //! pool events, one lane per worker) and dump it as
 //! `TRACE_yield.json` — open it in `chrome://tracing` or
 //! <https://ui.perfetto.dev>.
