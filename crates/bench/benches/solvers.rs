@@ -842,7 +842,7 @@ fn bench_array_sweep(report: &mut Report) {
     assert_eq!(serial.len(), dense.len());
     for (s, d) in serial.iter().zip(&dense) {
         assert_eq!(s.bits, d.bits);
-        assert_eq!(s.op.trace.time().len(), d.op.trace.time().len());
+        assert_eq!(s.op.steps, d.op.steps);
         for (cs, cd) in s.currents.iter().zip(&d.currents) {
             let scale = cs.abs().max(cd.abs()).max(1e-30);
             assert!(

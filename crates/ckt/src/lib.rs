@@ -29,8 +29,10 @@
 //! - [`ac`] — small-signal frequency-domain analysis around a bias
 //!   point (including the ferroelectric's negative capacitance).
 //! - [`transient`] — implicit (backward-Euler / trapezoidal) transient
-//!   analysis with per-step Newton, waveform breakpoints, per-source
-//!   energy metering, and full signal recording.
+//!   analysis with per-step Newton, waveform breakpoints and per-source
+//!   energy metering. One stepping loop records either every signal
+//!   ([`transient::transient`]) or only a probe list
+//!   ([`transient::transient_probes`]).
 //! - [`trace`] — recorded waveforms plus measurement helpers (threshold
 //!   crossings, rise time, settling, integrals).
 //!

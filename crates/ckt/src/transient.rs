@@ -1,6 +1,8 @@
 //! Transient analysis: implicit time stepping with per-step Newton,
 //! waveform breakpoint alignment, automatic step halving on convergence
-//! failure, signal recording, and per-source energy metering.
+//! failure, and per-source energy metering. One stepping loop feeds one
+//! of two recorders: the full-waveform [`Trace`] ([`transient`]) or a
+//! probe list ([`transient_probes`]).
 
 use crate::circuit::Circuit;
 use crate::elements::{ElemState, Element, EvalCtx, Integration, Node};
@@ -144,30 +146,393 @@ impl Default for TransientOptions {
     }
 }
 
-/// Runs a transient analysis of `ckt` from 0 to `t_end` (s).
+/// Runs a transient analysis of `ckt` from 0 to `t_end` (s), recording
+/// the full waveform set: every node voltage (`v(<node>)`), every
+/// element current (`i(<element>)`) and every ferroelectric
+/// polarization (`p(<element>)`) at every accepted point, plus
+/// delivered energy per independent source.
 ///
-/// Records every node voltage (`v(<node>)`), every element current
-/// (`i(<element>)`), and every ferroelectric polarization
-/// (`p(<element>)`), plus delivered energy per independent source.
+/// That record costs O(steps × signals) memory and an evaluation of
+/// every element current per step. Callers that read a handful of
+/// values back — the array row ops — use [`transient_probes`], which
+/// runs the same stepping loop and records only what it is asked for.
 ///
 /// # Errors
 ///
 /// [`CktError::Netlist`] for a non-positive `t_end`;
 /// [`CktError::Convergence`] if Newton fails even at the minimum step.
 pub fn transient(ckt: &Circuit, t_end: f64, opts: TransientOptions) -> Result<Trace> {
-    // The whole run is one profiled operation, failed runs included.
+    profiled(&opts, t_end, || {
+        run(ckt, t_end, &opts, TraceRecorder::new(ckt))
+    })
+}
+
+/// What [`transient_probes`] records: element currents at one time,
+/// the running maximum of some node voltages over a window, and final
+/// ferroelectric polarizations. Elements are named by their position in
+/// [`Circuit::elements`] (see [`Circuit::element_position`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Probes {
+    /// Elements whose currents are sampled at `t_sample`.
+    pub currents: Vec<usize>,
+    /// Time the currents are sampled at (s). They are evaluated only at
+    /// the two accepted points that bracket it and interpolated with
+    /// [`Trace::value_at`]'s arithmetic, clamped to the run's ends.
+    pub t_sample: f64,
+    /// Nodes whose largest voltage over `window` is kept.
+    pub window_nodes: Vec<Node>,
+    /// Window `(t0, t1)` (s) for `window_nodes`: accepted points with
+    /// `t0 <= t <= t1` count, as in [`Trace::window_max`].
+    pub window: (f64, f64),
+    /// FE capacitors whose final polarization is reported.
+    pub polarizations: Vec<usize>,
+}
+
+/// The result of [`transient_probes`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProbeRecord {
+    /// Currents of [`Probes::currents`] at [`Probes::t_sample`] (A).
+    pub currents: Vec<f64>,
+    /// Largest voltage of each of [`Probes::window_nodes`] over the
+    /// window (V).
+    pub window_max: Vec<f64>,
+    /// Final polarization of each of [`Probes::polarizations`] (C/m²).
+    pub polarizations: Vec<f64>,
+    /// Energy delivered by all independent sources over the run (J).
+    pub energy: f64,
+    /// Accepted time steps (the `t = 0` point is not a step).
+    pub steps: usize,
+}
+
+/// Runs the same transient analysis as [`transient`], from 0 to `t_end`
+/// (s), and records only `probes`. The values equal, bit for bit, what
+/// the full trace would give through [`Trace::value_at`],
+/// [`Trace::window_max`], [`Trace::last`] and
+/// [`Trace::total_source_energy`]. Memory is O(probes), independent of
+/// the step count.
+///
+/// # Errors
+///
+/// As for [`transient`]; [`CktError::Netlist`] for a probe naming a
+/// missing element or node, a current probe without a finite sample
+/// time, or a polarization probe that is not an FE capacitor;
+/// [`CktError::Measurement`] when window nodes are probed and no
+/// accepted point falls inside the window.
+pub fn transient_probes(
+    ckt: &Circuit,
+    t_end: f64,
+    opts: TransientOptions,
+    probes: &Probes,
+) -> Result<ProbeRecord> {
+    profiled(&opts, t_end, || {
+        ProbeRecorder::new(ckt, probes).and_then(|rec| run(ckt, t_end, &opts, rec))
+    })
+}
+
+/// Runs `body` as one profiled operation, failed runs included.
+fn profiled<T>(opts: &TransientOptions, t_end: f64, body: impl FnOnce() -> Result<T>) -> Result<T> {
     let t0 = opts.solver.instr.profile_start();
-    let trace = run(ckt, t_end, &opts);
+    let out = body();
     opts.solver
         .instr
         .profile_end(t0, TraceEvent::Transient, (t_end * 1e15) as u64);
-    trace
+    out
 }
 
-/// The body of [`transient`].
-// fefet-lint: allow-item(hot-alloc) -- run driver: allocates trace storage and per-run state up front and on cold error/accept paths; the per-step warm path is solve_point_with, pinned zero-alloc by the alloctrack gate
+/// One accepted point of a run.
+#[derive(Clone, Copy)]
+struct Point<'a> {
+    t: f64,
+    x: &'a [f64],
+    states: &'a [ElemState],
+}
+
+impl<'a> Point<'a> {
+    fn new(t: f64, x: &'a [f64], states: &'a [ElemState]) -> Self {
+        Point { t, x, states }
+    }
+}
+
+/// Element-current evaluation shared by the recorders: every current is
+/// evaluated with the nominal step and the run's method, so both record
+/// the same value for the same point.
+struct Sampler<'a> {
+    ckt: &'a Circuit,
+    asm: &'a Assembly,
+    h: f64,
+    method: Integration,
+}
+
+impl Sampler<'_> {
+    fn current(&self, elem: usize, p: Point<'_>) -> f64 {
+        let ctx = EvalCtx {
+            t: p.t,
+            h: self.h,
+            method: self.method,
+            dc: false,
+            x: p.x,
+            state: p.states[elem],
+        };
+        self.ckt.elements()[elem]
+            .1
+            .current(self.asm.branch0[elem], &ctx, self.ckt.n_nodes())
+            .unwrap_or(0.0)
+    }
+
+    /// Currents of `elems` at `p`, into `out`.
+    fn currents(&self, elems: &[usize], p: Point<'_>, out: &mut [f64]) {
+        for (slot, &i) in out.iter_mut().zip(elems) {
+            *slot = self.current(i, p);
+        }
+    }
+}
+
+/// Per-source energy meters: element position and running integral of
+/// delivered power.
+type Meters = Vec<(usize, RunningIntegral)>;
+
+/// Consumer of the stepping loop's accepted points.
+trait Recorder {
+    type Output;
+
+    /// Called at `t = 0` and after every accepted step, with the step's
+    /// element states already advanced.
+    fn accepted(&mut self, s: &Sampler<'_>, p: Point<'_>);
+
+    /// Called once a step to `t_new` is accepted, before element states
+    /// advance: `p` is still the previous accepted point.
+    fn stepping(&mut self, _s: &Sampler<'_>, _p: Point<'_>, _t_new: f64) {}
+
+    /// Builds the output from the last accepted point, the source
+    /// meters and the accepted step count.
+    fn finish(
+        self,
+        s: &Sampler<'_>,
+        last: Point<'_>,
+        meters: &Meters,
+        steps: usize,
+    ) -> Result<Self::Output>;
+}
+
+/// The full-waveform recorder behind [`transient`].
+struct TraceRecorder {
+    trace: Trace,
+    sample: Vec<f64>,
+}
+
+impl TraceRecorder {
+    // fefet-lint: allow-item(hot-alloc) -- signal names and the sample buffer are built once per run
+    fn new(ckt: &Circuit) -> Self {
+        // Signal layout: node voltages, element currents, FE polarizations.
+        let mut names: Vec<String> = Vec::new();
+        for n in 1..ckt.n_nodes() {
+            names.push(format!("v({})", ckt.node_name(Node(n))));
+        }
+        for (name, _) in ckt.elements() {
+            names.push(format!("i({name})"));
+        }
+        for (name, e) in ckt.elements() {
+            if matches!(e, Element::FeCap { .. }) {
+                names.push(format!("p({name})"));
+            }
+        }
+        let sample = vec![0.0; names.len()];
+        TraceRecorder {
+            trace: Trace::new(names),
+            sample,
+        }
+    }
+}
+
+impl Recorder for TraceRecorder {
+    type Output = Trace;
+
+    fn accepted(&mut self, s: &Sampler<'_>, p: Point<'_>) {
+        let nv = s.ckt.n_nodes() - 1;
+        self.sample[..nv].copy_from_slice(&p.x[..nv]);
+        let mut k = nv;
+        for i in 0..s.ckt.elements().len() {
+            self.sample[k] = s.current(i, p);
+            k += 1;
+        }
+        for (i, (_, e)) in s.ckt.elements().iter().enumerate() {
+            if matches!(e, Element::FeCap { .. }) {
+                self.sample[k] = fe_polarization(p.states[i]);
+                k += 1;
+            }
+        }
+        self.trace.push_sample(p.t, &self.sample);
+    }
+
+    // fefet-lint: allow-item(hot-alloc) -- once per run: names the per-source energies
+    fn finish(
+        mut self,
+        s: &Sampler<'_>,
+        _last: Point<'_>,
+        meters: &Meters,
+        _steps: usize,
+    ) -> Result<Trace> {
+        self.trace.set_energies(
+            meters
+                .iter()
+                .map(|(idx, acc)| (s.ckt.elements()[*idx].0.clone(), acc.total()))
+                .collect(),
+        );
+        Ok(self.trace)
+    }
+}
+
+/// Polarization of an FE capacitor state (0 for any other state).
+fn fe_polarization(state: ElemState) -> f64 {
+    match state {
+        ElemState::Fe { p, .. } => p,
+        _ => 0.0,
+    }
+}
+
+/// The probe recorder behind [`transient_probes`].
+struct ProbeRecorder<'p> {
+    probes: &'p Probes,
+    /// Currents at the last accepted point before `t_sample` and its
+    /// time, filled only by the step that crosses `t_sample`.
+    left: Vec<f64>,
+    left_t: Option<f64>,
+    currents: Vec<f64>,
+    sampled: bool,
+    window_max: Vec<f64>,
+    window_hits: usize,
+}
+
+impl<'p> ProbeRecorder<'p> {
+    // fefet-lint: allow-item(hot-alloc) -- probe validation and O(probes) buffers, once per run
+    fn new(ckt: &Circuit, probes: &'p Probes) -> Result<Self> {
+        let n_elem = ckt.elements().len();
+        if let Some(i) = probes.currents.iter().find(|&&i| i >= n_elem) {
+            return Err(CktError::Netlist(format!(
+                "probes: current probe names element {i} of {n_elem}"
+            )));
+        }
+        if !probes.currents.is_empty() && !probes.t_sample.is_finite() {
+            return Err(CktError::Netlist(format!(
+                "probes: sample time {:?} is not finite",
+                probes.t_sample
+            )));
+        }
+        if let Some(n) = probes
+            .window_nodes
+            .iter()
+            .find(|n| n.index() == 0 || n.index() >= ckt.n_nodes())
+        {
+            return Err(CktError::Netlist(format!(
+                "probes: window node {} is ground or not in the circuit",
+                n.index()
+            )));
+        }
+        for &i in &probes.polarizations {
+            if !matches!(ckt.elements().get(i), Some((_, Element::FeCap { .. }))) {
+                return Err(CktError::Netlist(format!(
+                    "probes: polarization probe names element {i}, not an FE capacitor"
+                )));
+            }
+        }
+        let n_i = probes.currents.len();
+        Ok(ProbeRecorder {
+            probes,
+            left: vec![0.0; n_i],
+            left_t: None,
+            currents: vec![0.0; n_i],
+            sampled: false,
+            window_max: vec![f64::NEG_INFINITY; probes.window_nodes.len()],
+            window_hits: 0,
+        })
+    }
+}
+
+impl Recorder for ProbeRecorder<'_> {
+    type Output = ProbeRecord;
+
+    fn accepted(&mut self, s: &Sampler<'_>, p: Point<'_>) {
+        let (w0, w1) = self.probes.window;
+        if p.t >= w0 && p.t <= w1 {
+            for (m, node) in self.window_max.iter_mut().zip(&self.probes.window_nodes) {
+                *m = f64::max(*m, p.x[node.index() - 1]);
+            }
+            self.window_hits += 1;
+        }
+        let t_s = self.probes.t_sample;
+        if self.sampled || p.t < t_s {
+            return;
+        }
+        // First accepted point at or after t_sample. `stepping` stored
+        // the previous point's currents only when t_sample lies strictly
+        // between the two; otherwise (t_sample on this point, or at or
+        // before t = 0) this point's value is the answer, as in
+        // `Trace::value_at`.
+        s.currents(&self.probes.currents, p, &mut self.currents);
+        if let Some(t0) = self.left_t {
+            let t1 = p.t;
+            let frac = if t1 > t0 { (t_s - t0) / (t1 - t0) } else { 0.0 };
+            for (y1, y0) in self.currents.iter_mut().zip(&self.left) {
+                *y1 = y0 + frac * (*y1 - y0);
+            }
+        }
+        self.sampled = true;
+    }
+
+    fn stepping(&mut self, s: &Sampler<'_>, p: Point<'_>, t_new: f64) {
+        let t_s = self.probes.t_sample;
+        if !self.sampled && p.t < t_s && t_s < t_new {
+            s.currents(&self.probes.currents, p, &mut self.left);
+            self.left_t = Some(p.t);
+        }
+    }
+
+    // fefet-lint: allow-item(hot-alloc) -- once per run: gathers the final polarizations
+    fn finish(
+        mut self,
+        s: &Sampler<'_>,
+        last: Point<'_>,
+        meters: &Meters,
+        steps: usize,
+    ) -> Result<ProbeRecord> {
+        if !self.sampled {
+            // t_sample lies past the last point: clamp to it.
+            s.currents(&self.probes.currents, last, &mut self.currents);
+        }
+        if self.window_hits == 0 {
+            if let Some(n) = self.probes.window_nodes.first() {
+                let (w0, w1) = self.probes.window;
+                return Err(CktError::Measurement {
+                    signal: format!("v({})", s.ckt.node_name(*n)),
+                    reason: format!("no accepted point inside the window [{w0:e}, {w1:e}]"),
+                });
+            }
+        }
+        Ok(ProbeRecord {
+            currents: self.currents,
+            window_max: self.window_max,
+            polarizations: self
+                .probes
+                .polarizations
+                .iter()
+                .map(|&i| fe_polarization(last.states[i]))
+                .collect(),
+            energy: meters.iter().map(|(_, acc)| acc.total()).sum(),
+            steps,
+        })
+    }
+}
+
+/// The stepping loop shared by [`transient`] and [`transient_probes`]:
+/// it feeds every accepted point to `rec`.
+// fefet-lint: allow-item(hot-alloc) -- run driver: allocates per-run state up front and on cold error/accept paths; the per-step warm path is solve_point_with, pinned zero-alloc by the alloctrack gate
 #[allow(clippy::needless_range_loop)]
-fn run(ckt: &Circuit, t_end: f64, opts: &TransientOptions) -> Result<Trace> {
+fn run<R: Recorder>(
+    ckt: &Circuit,
+    t_end: f64,
+    opts: &TransientOptions,
+    mut rec: R,
+) -> Result<R::Output> {
     if !(t_end > 0.0) {
         return Err(CktError::Netlist(
             "transient: t_end must be positive".into(),
@@ -230,105 +595,61 @@ fn run(ckt: &Circuit, t_end: f64, opts: &TransientOptions) -> Result<Trace> {
         .map(|(_, e)| e.initial_state(&x))
         .collect();
 
-    // Signal layout: node voltages, element currents, FE polarizations.
-    let mut names: Vec<String> = Vec::new();
-    for n in 1..ckt.n_nodes() {
-        names.push(format!("v({})", ckt.node_name(Node(n))));
-    }
-    for (name, _) in ckt.elements() {
-        names.push(format!("i({name})"));
-    }
-    for (name, e) in ckt.elements() {
-        if matches!(e, Element::FeCap { .. }) {
-            names.push(format!("p({name})"));
-        }
-    }
-    let mut trace = Trace::new(names);
-
     // Energy meters per independent source.
-    let mut meters: Vec<(usize, String, RunningIntegral)> = ckt
+    let mut meters: Meters = ckt
         .elements()
         .iter()
         .enumerate()
         .filter(|(_, (_, e))| matches!(e, Element::VSource { .. } | Element::ISource { .. }))
-        .map(|(i, (name, _))| (i, name.clone(), RunningIntegral::new()))
+        .map(|(i, _)| (i, RunningIntegral::new()))
         .collect();
 
-    let mut sample = vec![0.0; trace.names().count()];
-    let record =
-        |t: f64, x: &[f64], states: &[ElemState], trace: &mut Trace, sample: &mut [f64]| {
-            let n_nodes = ckt.n_nodes();
-            let mut k = 0;
-            for idx in 0..n_nodes - 1 {
-                sample[k] = x[idx];
-                k += 1;
-            }
-            for (i, (_, e)) in ckt.elements().iter().enumerate() {
-                let ctx = EvalCtx {
-                    t,
-                    h: dt_nom,
-                    method: opts.method,
-                    dc: false,
-                    x,
-                    state: states[i],
-                };
-                sample[k] = e.current(asm.branch0[i], &ctx, n_nodes).unwrap_or(0.0);
-                k += 1;
-            }
-            for (i, (_, e)) in ckt.elements().iter().enumerate() {
-                if matches!(e, Element::FeCap { .. }) {
-                    sample[k] = match states[i] {
-                        ElemState::Fe { p, .. } => p,
-                        _ => 0.0,
+    let meter_push = |t: f64, x: &[f64], meters: &mut Meters| -> Result<()> {
+        for (idx, acc) in meters.iter_mut() {
+            let p_del = match &ckt.elements()[*idx].1 {
+                Element::VSource { a, b, .. } => {
+                    let i_br = x[asm.n_nodes - 1 + asm.branch0[*idx]];
+                    let va = if a.index() == 0 {
+                        0.0
+                    } else {
+                        x[a.index() - 1]
                     };
-                    k += 1;
+                    let vb = if b.index() == 0 {
+                        0.0
+                    } else {
+                        x[b.index() - 1]
+                    };
+                    -(va - vb) * i_br
                 }
-            }
-            trace.push_sample(t, sample);
-        };
+                Element::ISource { a, b, wave } => {
+                    let va = if a.index() == 0 {
+                        0.0
+                    } else {
+                        x[a.index() - 1]
+                    };
+                    let vb = if b.index() == 0 {
+                        0.0
+                    } else {
+                        x[b.index() - 1]
+                    };
+                    -(va - vb) * wave.eval(t)
+                }
+                _ => 0.0,
+            };
+            acc.push(t, p_del).map_err(CktError::from)?;
+        }
+        Ok(())
+    };
 
-    let meter_push =
-        |t: f64, x: &[f64], meters: &mut Vec<(usize, String, RunningIntegral)>| -> Result<()> {
-            for (idx, _, acc) in meters.iter_mut() {
-                let (name_i, e) = &ckt.elements()[*idx];
-                let _ = name_i;
-                let p_del = match e {
-                    Element::VSource { a, b, .. } => {
-                        let i_br = x[asm.n_nodes - 1 + asm.branch0[*idx]];
-                        let va = if a.index() == 0 {
-                            0.0
-                        } else {
-                            x[a.index() - 1]
-                        };
-                        let vb = if b.index() == 0 {
-                            0.0
-                        } else {
-                            x[b.index() - 1]
-                        };
-                        -(va - vb) * i_br
-                    }
-                    Element::ISource { a, b, wave } => {
-                        let va = if a.index() == 0 {
-                            0.0
-                        } else {
-                            x[a.index() - 1]
-                        };
-                        let vb = if b.index() == 0 {
-                            0.0
-                        } else {
-                            x[b.index() - 1]
-                        };
-                        -(va - vb) * wave.eval(t)
-                    }
-                    _ => 0.0,
-                };
-                acc.push(t, p_del).map_err(CktError::from)?;
-            }
-            Ok(())
-        };
-
-    record(0.0, &x, &states, &mut trace, &mut sample);
+    let sampler = Sampler {
+        ckt,
+        asm: &asm,
+        h: dt_nom,
+        method: opts.method,
+    };
+    rec.accepted(&sampler, Point::new(0.0, &x, &states));
     meter_push(0.0, &x, &mut meters)?;
+    let mut steps = 0usize;
 
     let mut t = 0.0;
     let mut bp_cursor = 0usize;
@@ -485,6 +806,7 @@ fn run(ckt: &Circuit, t_end: f64, opts: &TransientOptions) -> Result<Trace> {
                 step: t_new,
             });
         }
+        rec.stepping(&sampler, Point::new(t, &x, &states), t_new);
         let h = t_new - t;
         // Advance element states.
         for (i, (_, e)) in ckt.elements().iter().enumerate() {
@@ -525,17 +847,11 @@ fn run(ckt: &Circuit, t_end: f64, opts: &TransientOptions) -> Result<Trace> {
         if opts.lte.is_none() {
             dt_ctrl = dt_nom;
         }
-        record(t, &x, &states, &mut trace, &mut sample);
+        steps += 1;
+        rec.accepted(&sampler, Point::new(t, &x, &states));
         meter_push(t, &x, &mut meters)?;
     }
-
-    trace.set_energies(
-        meters
-            .into_iter()
-            .map(|(_, name, acc)| (name, acc.total()))
-            .collect(),
-    );
-    Ok(trace)
+    rec.finish(&sampler, Point::new(t, &x, &states), &meters, steps)
 }
 
 #[cfg(test)]
@@ -1056,6 +1372,131 @@ mod tests {
         // DC: inductor shorts mid to ground, current = 2 mA.
         assert!(tr.signal("v(mid)").unwrap()[0].abs() < 1e-6);
         assert!((tr.signal("i(L1)").unwrap()[0] - 2e-3).abs() < 1e-8);
+    }
+
+    /// A pulsed FE cap behind a MOSFET: nonlinear currents, a
+    /// polarization that moves, and source energy to meter.
+    fn probe_fixture() -> Circuit {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let f = c.node("f");
+        let d = c.node("d");
+        c.vsource(
+            "V1",
+            a,
+            Circuit::GND,
+            Waveform::pulse(0.0, 2.0, 1e-9, 0.1e-9, 0.1e-9, 2e-9),
+        );
+        c.vsource("VD", d, Circuit::GND, Waveform::dc(0.5));
+        c.resistor("R1", a, f, 100.0);
+        c.fecap(
+            "F1",
+            f,
+            Circuit::GND,
+            FeCapParams::new(1e-9, 65e-9 * 65e-9),
+            -0.46,
+        );
+        c.mosfet("M1", d, f, Circuit::GND, MosParams::nmos_45nm());
+        c
+    }
+
+    /// The probe recorder returns, bit for bit, what the full trace
+    /// gives through its measurement helpers — for sample times between
+    /// points, on a point, before the first and past the last.
+    #[test]
+    fn probes_match_the_full_trace_bit_for_bit() {
+        let c = probe_fixture();
+        let opts = || TransientOptions {
+            dt: 37e-12,
+            lte: Some(LteControl::default()),
+            ..TransientOptions::default()
+        };
+        let t_end = 4e-9;
+        let tr = transient(&c, t_end, opts()).unwrap();
+        let elems: Vec<usize> = (0..c.elements().len()).collect();
+        let names: Vec<String> = c
+            .elements()
+            .iter()
+            .map(|(n, _)| format!("i({n})"))
+            .collect();
+        let on_point = tr.time()[7];
+        let between = 0.5 * (tr.time()[20] + tr.time()[21]);
+        // Windows whose maximum of v(a) sits inside, on the closing edge
+        // (the last point of the rise) and on the opening edge (the
+        // first point of the fall): the inclusive rule matters.
+        let (t, va) = (tr.time(), tr.signal("v(a)").unwrap());
+        let top = va.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let rise_end = va.iter().position(|v| *v >= top).unwrap();
+        let fall_start = va.iter().rposition(|v| *v >= top).unwrap();
+        let windows = [
+            (1e-9, 2.5e-9),
+            (t[rise_end - 2], t[rise_end]),
+            (t[fall_start], t[fall_start + 2]),
+        ];
+        let samples = [between, on_point, -1.0, 0.0, t_end, 9.0];
+        for (t_sample, window) in samples.into_iter().zip(windows.into_iter().cycle()) {
+            let probes = Probes {
+                currents: elems.clone(),
+                t_sample,
+                window_nodes: vec![c.find_node("f").unwrap(), c.find_node("a").unwrap()],
+                window,
+                polarizations: vec![c.element_position("F1").unwrap()],
+            };
+            let rec = transient_probes(&c, t_end, opts(), &probes).unwrap();
+            for (name, got) in names.iter().zip(&rec.currents) {
+                let want = tr.value_at(name, t_sample).unwrap();
+                assert_eq!(got.to_bits(), want.to_bits(), "{name} at {t_sample:e}");
+            }
+            for (node, got) in ["v(f)", "v(a)"].iter().zip(&rec.window_max) {
+                let want = tr.window_max(node, window.0, window.1).unwrap();
+                assert_eq!(got.to_bits(), want.to_bits(), "{node} over {window:?}");
+            }
+            let p_end = tr.last("p(F1)").unwrap();
+            assert_eq!(rec.polarizations[0].to_bits(), p_end.to_bits());
+            assert_eq!(rec.energy.to_bits(), tr.total_source_energy().to_bits());
+            assert_eq!(rec.steps + 1, tr.time().len());
+        }
+    }
+
+    #[test]
+    fn probes_reject_what_they_cannot_record() {
+        let c = probe_fixture();
+        let run = |probes: Probes| transient_probes(&c, 1e-9, TransientOptions::default(), &probes);
+        let bad_elem = Probes {
+            currents: vec![99],
+            ..Probes::default()
+        };
+        assert!(matches!(run(bad_elem), Err(CktError::Netlist(_))));
+        let not_fe = Probes {
+            polarizations: vec![c.element_position("M1").unwrap()],
+            ..Probes::default()
+        };
+        assert!(matches!(run(not_fe), Err(CktError::Netlist(_))));
+        let ground = Probes {
+            window_nodes: vec![Circuit::GND],
+            ..Probes::default()
+        };
+        assert!(matches!(run(ground), Err(CktError::Netlist(_))));
+        let nan_sample = Probes {
+            currents: vec![0],
+            t_sample: f64::NAN,
+            ..Probes::default()
+        };
+        assert!(matches!(run(nan_sample), Err(CktError::Netlist(_))));
+        // A window no accepted point falls in is a typed error, not a
+        // silent default.
+        let empty_window = Probes {
+            window_nodes: vec![c.find_node("f").unwrap()],
+            window: (2e-9, 3e-9),
+            ..Probes::default()
+        };
+        assert!(matches!(
+            run(empty_window),
+            Err(CktError::Measurement { .. })
+        ));
+        // Nothing probed still meters energy and counts steps.
+        let rec = run(Probes::default()).unwrap();
+        assert!(rec.steps > 0 && rec.currents.is_empty());
     }
 
     #[test]

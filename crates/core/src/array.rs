@@ -10,10 +10,10 @@
 use crate::bias::Operation;
 use crate::cell::FefetCell;
 use fefet_ckt::circuit::Circuit;
+use fefet_ckt::elements::Node;
 use fefet_ckt::engine::{Assembly, SolverBackend, SolverOptions};
 use fefet_ckt::plan::{AnalysisCache, BlockPlan};
-use fefet_ckt::trace::Trace;
-use fefet_ckt::transient::{transient, TransientOptions};
+use fefet_ckt::transient::{transient_probes, ProbeRecord, Probes, TransientOptions};
 use fefet_ckt::waveform::Waveform;
 use fefet_ckt::{CktError, Result};
 use fefet_telemetry::{Instrumentation, TraceEvent};
@@ -23,6 +23,8 @@ use std::sync::Arc;
 const T_EDGE: f64 = 50e-12;
 /// Quiescent lead-in (s).
 const T_START: f64 = 0.2e-9;
+/// Write-select hold past the bit-line pulse (s).
+const T_RESTORE: f64 = 0.3e-9;
 
 /// Sense-amp current threshold separating ON from OFF bits (A).
 ///
@@ -110,11 +112,32 @@ pub struct MnaDims {
     pub n_unknowns: usize,
 }
 
+/// Node and element positions of an array circuit, recorded by the
+/// netlist builder as it adds each one, so that an op's initial
+/// conditions and results are indexed rather than looked up by name.
+/// Per-cell tables are row-major (`i * cols + j`).
+#[derive(Debug)]
+pub(crate) struct ArrayIndex {
+    /// Gate node `g{i}_{j}` of each cell (FE capacitor top plate).
+    pub(crate) g: Vec<Node>,
+    /// Internal node `gi{i}_{j}` of each cell (FE capacitor bottom
+    /// plate, FEFET gate).
+    pub(crate) gi: Vec<Node>,
+    /// Element position of each cell's FE capacitor `Ffe{i}_{j}`.
+    pub(crate) fe: Vec<usize>,
+    /// Element position of each cell's read transistor `Mfet{i}_{j}`.
+    pub(crate) mfet: Vec<usize>,
+    /// Read-select line `rs{i}` of each row.
+    pub(crate) rs: Vec<Node>,
+    /// Sense line `sl{j}` of each column.
+    pub(crate) sl: Vec<Node>,
+}
+
 /// Result of an array-level operation.
 #[derive(Debug, Clone)]
 pub struct ArrayOp {
-    /// Full waveform record.
-    pub trace: Trace,
+    /// Accepted transient time steps.
+    pub steps: usize,
     /// Total driver energy (J).
     pub energy: f64,
     /// Largest polarization drift of any **unaccessed** cell (C/m²).
@@ -212,12 +235,19 @@ impl FefetArray {
         &self,
         row_waves: &[(Waveform, Waveform)], // (read_select, write_select) per row
         col_waves: &[(Waveform, Waveform)], // (bit_line, sense_line) per column
-    ) -> Circuit {
+    ) -> (Circuit, ArrayIndex) {
         let mut c = Circuit::new();
-        let mut rs_nodes = Vec::new();
-        let mut ws_nodes = Vec::new();
-        let mut bl_nodes = Vec::new();
-        let mut sl_nodes = Vec::new();
+        let n_cells = self.rows * self.cols;
+        let mut idx = ArrayIndex {
+            g: Vec::with_capacity(n_cells),
+            gi: Vec::with_capacity(n_cells),
+            fe: Vec::with_capacity(n_cells),
+            mfet: Vec::with_capacity(n_cells),
+            rs: Vec::with_capacity(self.rows),
+            sl: Vec::with_capacity(self.cols),
+        };
+        let mut ws_nodes = Vec::with_capacity(self.rows);
+        let mut bl_nodes = Vec::with_capacity(self.cols);
         for (i, (w_rs, w_ws)) in row_waves.iter().enumerate() {
             let rs = c.node(&format!("rs{i}"));
             let ws = c.node(&format!("ws{i}"));
@@ -239,7 +269,7 @@ impl FefetArray {
                 Circuit::GND,
                 self.cell.c_write_select,
             );
-            rs_nodes.push(rs);
+            idx.rs.push(rs);
             ws_nodes.push(ws);
         }
         for (j, (w_bl, w_sl)) in col_waves.iter().enumerate() {
@@ -253,7 +283,7 @@ impl FefetArray {
             c.capacitor(&format!("Cbl{j}"), bl, Circuit::GND, self.cell.c_bit_line);
             c.capacitor(&format!("Csl{j}"), sl, Circuit::GND, self.cell.c_sense_line);
             bl_nodes.push(bl);
-            sl_nodes.push(sl);
+            idx.sl.push(sl);
         }
         for i in 0..self.rows {
             for j in 0..self.cols {
@@ -267,31 +297,30 @@ impl FefetArray {
                     g,
                     self.cell.access,
                 );
+                idx.fe.push(c.elements().len());
                 c.fecap(&format!("Ffe{i}_{j}"), g, gi, self.cell.fefet.fe, p0);
+                idx.mfet.push(c.elements().len());
                 c.mosfet(
                     &format!("Mfet{i}_{j}"),
-                    rs_nodes[i],
+                    idx.rs[i],
                     gi,
-                    sl_nodes[j],
+                    idx.sl[j],
                     self.cell.fefet.mos,
                 );
+                idx.g.push(g);
+                idx.gi.push(gi);
             }
         }
-        c
+        (c, idx)
     }
 
-    fn node_ics(&self, c: &Circuit) -> Vec<(fefet_ckt::elements::Node, f64)> {
-        let mut ics = Vec::new();
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                let p0 = self.state[i * self.cols + j];
-                if let Some(gi) = c.find_node(&format!("gi{i}_{j}")) {
-                    ics.push((gi, self.cell.fefet.v_mos_of(p0)));
-                }
-                if let Some(g) = c.find_node(&format!("g{i}_{j}")) {
-                    ics.push((g, self.cell.fefet.v_gate_static(p0)));
-                }
-            }
+    /// Initial node voltages for an op: every cell's internal nodes at
+    /// the static stack solution of its stored polarization.
+    fn node_ics(&self, idx: &ArrayIndex) -> Vec<(Node, f64)> {
+        let mut ics = Vec::with_capacity(2 * self.state.len());
+        for (k, &p0) in self.state.iter().enumerate() {
+            ics.push((idx.gi[k], self.cell.fefet.v_mos_of(p0)));
+            ics.push((idx.g[k], self.cell.fefet.v_gate_static(p0)));
         }
         ics
     }
@@ -334,14 +363,22 @@ impl FefetArray {
         Ok(plan)
     }
 
-    fn run(&self, c: &Circuit, t_end: f64) -> Result<Trace> {
+    /// Runs an op's transient on `c` (built with `idx`), recording only
+    /// `probes`.
+    fn run(
+        &self,
+        c: &Circuit,
+        idx: &ArrayIndex,
+        t_end: f64,
+        probes: &Probes,
+    ) -> Result<ProbeRecord> {
         let plan = self.block_plan(c)?;
-        transient(
+        transient_probes(
             c,
             t_end,
             TransientOptions {
                 dt: self.cell.dt,
-                node_ics: self.node_ics(c),
+                node_ics: self.node_ics(idx),
                 predict: self.fastpaths.predict,
                 solver: SolverOptions {
                     backend: self.solver_backend,
@@ -354,18 +391,16 @@ impl FefetArray {
                 },
                 ..TransientOptions::default()
             },
+            probes,
         )
     }
 
-    fn collect_disturb(&self, trace: &Trace, accessed_row: Option<usize>) -> f64 {
+    /// Largest polarization drift of any cell outside `accessed_row`,
+    /// given every cell's polarization after an op (row-major).
+    fn max_disturb(&self, after: &[f64], accessed_row: Option<usize>) -> f64 {
         let mut max_disturb: f64 = 0.0;
-        for i in 0..self.rows {
-            if Some(i) == accessed_row {
-                continue;
-            }
-            for j in 0..self.cols {
-                let before = self.state[i * self.cols + j];
-                let after = trace.last(&format!("p(Ffe{i}_{j})")).unwrap_or(before);
+        for (k, (before, after)) in self.state.iter().zip(after).enumerate() {
+            if Some(k / self.cols) != accessed_row {
                 max_disturb = max_disturb.max((after - before).abs());
             }
         }
@@ -381,25 +416,68 @@ impl FefetArray {
     /// [`CktError::Netlist`] if `data.len() != cols`, or a simulator
     /// convergence failure.
     pub fn write_row(&mut self, row: usize, data: &[bool], t_pulse: f64) -> Result<ArrayOp> {
-        let op = self.write_row_trial(row, data, t_pulse)?;
-        // Commit new states.
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                if let Some(p) = op.trace.last(&format!("p(Ffe{i}_{j})")) {
-                    self.state[i * self.cols + j] = p;
-                }
-            }
-        }
+        let (op, polarizations) = self.write_row_trial(row, data, t_pulse)?;
+        self.state = polarizations;
         Ok(op)
     }
 
     /// The simulation core of [`FefetArray::write_row`], without the
     /// state commit: runs the write transient against the stored state
-    /// and reports the result, leaving the array untouched. This is what
-    /// lets [`FefetArray::write_disturb_map`] run per-row trials against
-    /// one shared array instead of deep-cloning it per worker.
-    fn write_row_trial(&self, row: usize, data: &[bool], t_pulse: f64) -> Result<ArrayOp> {
+    /// and reports the result with every cell's final polarization
+    /// (row-major), leaving the array untouched. This is what lets
+    /// [`FefetArray::write_disturb_map`] run per-row trials against one
+    /// shared array instead of deep-cloning it per worker.
+    fn write_row_trial(
+        &self,
+        row: usize,
+        data: &[bool],
+        t_pulse: f64,
+    ) -> Result<(ArrayOp, Vec<f64>)> {
         let t0 = self.instr.profile_start();
+        let (c, idx) = self.write_netlist(row, data, t_pulse)?;
+        let t_end = T_START + t_pulse + T_RESTORE + 0.5e-9;
+        let rec = self.run(
+            &c,
+            &idx,
+            t_end,
+            &Probes {
+                polarizations: idx.fe.clone(),
+                ..Probes::default()
+            },
+        )?;
+        let max_disturb = self.max_disturb(&rec.polarizations, Some(row));
+        if let Some(tel) = self.instr.get() {
+            tel.array.row_writes.inc();
+            tel.array.disturb_max.update_max(max_disturb);
+        }
+        self.instr
+            .profile_end(t0, TraceEvent::ArrayWriteRow, row as u64);
+        let op = ArrayOp {
+            steps: rec.steps,
+            energy: rec.energy,
+            max_disturb,
+        };
+        Ok((op, rec.polarizations))
+    }
+
+    /// Builds the write-phase circuit for `row` without running it: the
+    /// Table 1 write biasing of `data` with a pulse of width `t_pulse`
+    /// (s), applied to this array's stored state.
+    ///
+    /// # Errors
+    ///
+    /// [`CktError::Netlist`] if `data.len() != cols` or `row` is out of
+    /// range.
+    pub fn write_circuit(&self, row: usize, data: &[bool], t_pulse: f64) -> Result<Circuit> {
+        self.write_netlist(row, data, t_pulse).map(|(c, _)| c)
+    }
+
+    fn write_netlist(
+        &self,
+        row: usize,
+        data: &[bool],
+        t_pulse: f64,
+    ) -> Result<(Circuit, ArrayIndex)> {
         if data.len() != self.cols {
             return Err(CktError::Netlist(format!(
                 "write_row: got {} bits for {} columns",
@@ -413,7 +491,6 @@ impl FefetArray {
             )));
         }
         let b = &self.cell.bias;
-        let t_restore = 0.3e-9;
         let mut row_waves = Vec::new();
         for i in 0..self.rows {
             let accessed = i == row;
@@ -425,7 +502,7 @@ impl FefetArray {
                     T_START,
                     T_EDGE,
                     T_EDGE,
-                    t_pulse + t_restore,
+                    t_pulse + T_RESTORE,
                 )
             } else {
                 // Negative select for the whole write window.
@@ -435,7 +512,7 @@ impl FefetArray {
                     T_START - 0.1e-9,
                     T_EDGE,
                     T_EDGE,
-                    t_pulse + t_restore + 0.2e-9,
+                    t_pulse + T_RESTORE + 0.2e-9,
                 )
             };
             row_waves.push((Waveform::dc(0.0), w_ws));
@@ -448,21 +525,7 @@ impl FefetArray {
                 Waveform::dc(0.0),
             ));
         }
-        let c = self.build(&row_waves, &col_waves);
-        let t_end = T_START + t_pulse + t_restore + 0.5e-9;
-        let trace = self.run(&c, t_end)?;
-        let max_disturb = self.collect_disturb(&trace, Some(row));
-        if let Some(tel) = self.instr.get() {
-            tel.array.row_writes.inc();
-            tel.array.disturb_max.update_max(max_disturb);
-        }
-        self.instr
-            .profile_end(t0, TraceEvent::ArrayWriteRow, row as u64);
-        Ok(ArrayOp {
-            energy: trace.total_source_energy(),
-            max_disturb,
-            trace,
-        })
+        Ok(self.build(&row_waves, &col_waves))
     }
 
     /// Builds the read-phase circuit for `row` without running it: the
@@ -474,6 +537,12 @@ impl FefetArray {
     ///
     /// [`CktError::Netlist`] if `row` is out of range.
     pub fn read_circuit(&self, row: usize, t_read: f64) -> Result<Circuit> {
+        self.read_netlist(row, t_read).map(|(c, _)| c)
+    }
+
+    /// [`FefetArray::read_circuit`] for a read window `t_read` (s),
+    /// together with the circuit's [`ArrayIndex`].
+    pub(crate) fn read_netlist(&self, row: usize, t_read: f64) -> Result<(Circuit, ArrayIndex)> {
         if row >= self.rows {
             return Err(CktError::Netlist(format!(
                 "read_row: row {row} out of range"
@@ -506,32 +575,29 @@ impl FefetArray {
     /// Row range or convergence errors, as for [`FefetArray::write_row`].
     pub fn read_row(&self, row: usize, t_read: f64) -> Result<ArrayRead> {
         let t0 = self.instr.profile_start();
-        let c = self.read_circuit(row, t_read)?;
+        let (c, idx) = self.read_netlist(row, t_read)?;
         let t_end = T_START + t_read + 0.4e-9;
-        let trace = self.run(&c, t_end)?;
-
-        let t_sample = T_START + t_read - 2.0 * T_EDGE;
-        let mut currents = Vec::with_capacity(self.cols);
-        for j in 0..self.cols {
-            currents.push(
-                trace
-                    .value_at(&format!("i(Mfet{row}_{j})"), t_sample)
-                    .unwrap_or(0.0),
-            );
-        }
+        let rec = self.run(
+            &c,
+            &idx,
+            t_end,
+            &Probes {
+                currents: idx.mfet.clone(),
+                t_sample: T_START + t_read - 2.0 * T_EDGE,
+                polarizations: idx.fe.clone(),
+                ..Probes::default()
+            },
+        )?;
+        // Every cell's read-transistor current, row-major: the accessed
+        // row is the sensed data, the rest are sneak paths.
+        let currents = rec.currents[row * self.cols..(row + 1) * self.cols].to_vec();
         let mut max_sneak: f64 = 0.0;
-        for i in 0..self.rows {
-            if i == row {
-                continue;
-            }
-            for j in 0..self.cols {
-                let i_cell = trace
-                    .value_at(&format!("i(Mfet{i}_{j})"), t_sample)
-                    .unwrap_or(0.0);
+        for (k, i_cell) in rec.currents.iter().enumerate() {
+            if k / self.cols != row {
                 max_sneak = max_sneak.max(i_cell.abs());
             }
         }
-        let max_disturb = self.collect_disturb(&trace, None); // read must disturb nobody
+        let max_disturb = self.max_disturb(&rec.polarizations, None); // read must disturb nobody
         let bits: Vec<bool> = currents.iter().map(|i| *i > I_SENSE_THRESHOLD_A).collect();
         if let Some(tel) = self.instr.get() {
             tel.array.row_reads.inc();
@@ -557,9 +623,9 @@ impl FefetArray {
             .profile_end(t0, TraceEvent::ArrayReadRow, row as u64);
         Ok(ArrayRead {
             op: ArrayOp {
-                energy: trace.total_source_energy(),
+                steps: rec.steps,
+                energy: rec.energy,
                 max_disturb,
-                trace,
             },
             currents,
             bits,
@@ -633,7 +699,7 @@ impl FefetArray {
         let data = data.to_vec();
         fefet_ckt::parallel::pool_map(rows, threads, &self.instr, move |&row| {
             this.write_row_trial(row, &data, t_pulse)
-                .map(|op| op.max_disturb)
+                .map(|(op, _)| op.max_disturb)
         })
         .into_iter()
         .collect()
@@ -814,8 +880,7 @@ mod tests {
         let rs = sparse.read_row(0, 3e-9).unwrap();
         assert_eq!(rd.bits, rs.bits);
         assert_eq!(
-            rd.op.trace.time().len(),
-            rs.op.trace.time().len(),
+            rd.op.steps, rs.op.steps,
             "backends accepted different step sequences"
         );
         for (d, s) in rd.currents.iter().zip(&rs.currents) {
@@ -844,8 +909,7 @@ mod tests {
         let rb = bbd.read_row(0, 3e-9).unwrap();
         assert_eq!(rs.bits, rb.bits);
         assert_eq!(
-            rs.op.trace.time().len(),
-            rb.op.trace.time().len(),
+            rs.op.steps, rb.op.steps,
             "backends accepted different step sequences"
         );
         for (s, b) in rs.currents.iter().zip(&rb.currents) {

@@ -14,18 +14,21 @@
 
 use crate::feram::FeramCell;
 use fefet_ckt::circuit::Circuit;
+use fefet_ckt::elements::Node;
 use fefet_ckt::engine::{SolverBackend, SolverOptions};
 use fefet_ckt::plan::{AnalysisCache, BlockPlan};
-use fefet_ckt::trace::Trace;
-use fefet_ckt::transient::{transient, TransientOptions};
+use fefet_ckt::transient::{transient_probes, ProbeRecord, Probes, TransientOptions};
 use fefet_ckt::waveform::Waveform;
 use fefet_ckt::{CktError, Result};
+use fefet_telemetry::{Instrumentation, TraceEvent};
 use std::sync::Arc;
 
 /// Edge time for control ramps (s).
 const T_EDGE: f64 = 50e-12;
 /// Quiescent lead-in (s).
 const T_START: f64 = 0.2e-9;
+/// Word-line hold past the two write phases (s).
+const T_RESTORE: f64 = 0.5e-9;
 
 /// An m×n array of 1T-1C FERAM cells with explicit stored polarization.
 #[derive(Debug, Clone)]
@@ -39,6 +42,9 @@ pub struct FeramArray {
     /// Linear-solver backend for every simulation this array runs, as
     /// for [`crate::array::FefetArray::solver_backend`].
     pub solver_backend: SolverBackend,
+    /// Telemetry sink for every simulation this array runs, as for
+    /// [`crate::array::FefetArray::instr`]. Off by default.
+    pub instr: Instrumentation,
     /// Shared symbolic-analysis cache (by `Arc` into every clone,
     /// including [`FeramArray::read_margins`] worker trials).
     cache: AnalysisCache,
@@ -48,12 +54,23 @@ pub struct FeramArray {
 /// Result of a FERAM array operation.
 #[derive(Debug, Clone)]
 pub struct FeramArrayOp {
-    /// Waveform record.
-    pub trace: Trace,
+    /// Accepted transient time steps.
+    pub steps: usize,
     /// Driver energy (J).
     pub energy: f64,
     /// Largest |ΔP| on any unaccessed cell (C/m²).
     pub max_disturb: f64,
+}
+
+/// Element and node positions of a FERAM array circuit, recorded by
+/// the netlist builder as it adds each one.
+#[derive(Debug)]
+struct FeramIndex {
+    /// Element position of each cell's FE capacitor `Fcap{i}_{j}`,
+    /// row-major.
+    fcap: Vec<usize>,
+    /// Bit line `bl{j}` of each column.
+    bl: Vec<Node>,
 }
 
 impl FeramArray {
@@ -71,6 +88,7 @@ impl FeramArray {
             cols,
             cell,
             solver_backend: SolverBackend::default(),
+            instr: Instrumentation::off(),
             cache: AnalysisCache::new(),
             state: vec![p_lo; rows * cols],
         }
@@ -119,7 +137,7 @@ impl FeramArray {
         let wl_waves = vec![Waveform::dc(0.0); self.rows];
         let pl_waves = vec![Waveform::dc(0.0); self.rows];
         let bl_waves: Vec<Option<Waveform>> = vec![None; self.cols];
-        let c = self.build(&wl_waves, &pl_waves, &bl_waves);
+        let (c, _) = self.build(&wl_waves, &pl_waves, &bl_waves);
         let asm = fefet_ckt::engine::Assembly::new(&c);
         crate::array::MnaDims {
             n_nodes: asm.n_nodes - 1,
@@ -132,11 +150,14 @@ impl FeramArray {
         wl_waves: &[Waveform],
         pl_waves: &[Waveform],
         bl_waves: &[Option<Waveform>],
-    ) -> Circuit {
+    ) -> (Circuit, FeramIndex) {
         let mut c = Circuit::new();
-        let mut wl_nodes = Vec::new();
-        let mut pl_nodes = Vec::new();
-        let mut bl_nodes = Vec::new();
+        let mut idx = FeramIndex {
+            fcap: Vec::with_capacity(self.rows * self.cols),
+            bl: Vec::with_capacity(self.cols),
+        };
+        let mut wl_nodes = Vec::with_capacity(self.rows);
+        let mut pl_nodes = Vec::with_capacity(self.rows);
         for (i, (wwl, wpl)) in wl_waves.iter().zip(pl_waves).enumerate() {
             let wl = c.node(&format!("wl{i}"));
             let pl = c.node(&format!("pl{i}"));
@@ -158,7 +179,7 @@ impl FeramArray {
                 c.resistor(&format!("Rbl{j}"), bld, bl, self.cell.r_driver);
             }
             c.capacitor(&format!("Cbl{j}"), bl, Circuit::GND, self.cell.c_bit_line);
-            bl_nodes.push(bl);
+            idx.bl.push(bl);
         }
         for i in 0..self.rows {
             #[allow(clippy::needless_range_loop)] // symmetric i/j indexing
@@ -166,11 +187,12 @@ impl FeramArray {
                 let n = c.node(&format!("n{i}_{j}"));
                 c.mosfet(
                     &format!("Macc{i}_{j}"),
-                    bl_nodes[j],
+                    idx.bl[j],
                     wl_nodes[i],
                     n,
                     self.cell.access,
                 );
+                idx.fcap.push(c.elements().len());
                 c.fecap(
                     &format!("Fcap{i}_{j}"),
                     n,
@@ -180,14 +202,21 @@ impl FeramArray {
                 );
             }
         }
-        c
+        (c, idx)
     }
 
     /// The BBD partition of a FERAM array circuit: one block per column
     /// (bit line, its driver when present, and the cell storage nodes
     /// down the column), one tiny block per word/plate-line driver, and
-    /// the shared `wl`/`pl` row lines as the border.
-    fn block_plan(&self, c: &Circuit) -> Result<BlockPlan> {
+    /// the shared `wl`/`pl` row lines as the border. `c` must be a
+    /// circuit built by this array; every simulation this array runs
+    /// uses this plan.
+    ///
+    /// # Errors
+    ///
+    /// [`CktError::UnknownSignal`] if `c` is not an array circuit of
+    /// this shape.
+    pub fn block_plan(&self, c: &Circuit) -> Result<BlockPlan> {
         let mut plan = BlockPlan::for_circuit(c);
         for j in 0..self.cols {
             plan.assign_node_name(c, &format!("bl{j}"), j)?;
@@ -211,43 +240,33 @@ impl FeramArray {
         Ok(plan)
     }
 
-    fn run(&self, c: &Circuit, t_end: f64) -> Result<Trace> {
+    /// Runs an op's transient on `c`, recording only `probes`.
+    fn run(&self, c: &Circuit, t_end: f64, probes: &Probes) -> Result<ProbeRecord> {
         let plan = self.block_plan(c)?;
-        transient(
+        transient_probes(
             c,
             t_end,
             TransientOptions {
                 dt: self.cell.dt,
                 solver: SolverOptions {
                     backend: self.solver_backend,
+                    instr: self.instr.clone(),
                     block_plan: Some(Arc::new(plan)),
                     cache: Some(self.cache.clone()),
                     ..SolverOptions::default()
                 },
                 ..TransientOptions::default()
             },
+            probes,
         )
     }
 
-    fn commit(&mut self, trace: &Trace) {
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                if let Some(p) = trace.last(&format!("p(Fcap{i}_{j})")) {
-                    self.state[i * self.cols + j] = p;
-                }
-            }
-        }
-    }
-
-    fn disturb(&self, trace: &Trace, accessed_row: usize) -> f64 {
+    /// Largest |ΔP| of any cell outside `accessed_row`, given every
+    /// cell's polarization after an op (row-major).
+    fn disturb(&self, after: &[f64], accessed_row: usize) -> f64 {
         let mut worst: f64 = 0.0;
-        for i in 0..self.rows {
-            if i == accessed_row {
-                continue;
-            }
-            for j in 0..self.cols {
-                let before = self.state[i * self.cols + j];
-                let after = trace.last(&format!("p(Fcap{i}_{j})")).unwrap_or(before);
+        for (k, (before, after)) in self.state.iter().zip(after).enumerate() {
+            if k / self.cols != accessed_row {
                 worst = worst.max((after - before).abs());
             }
         }
@@ -263,6 +282,49 @@ impl FeramArray {
     ///
     /// Dimension or convergence errors as in the FEFET array.
     pub fn write_row(&mut self, row: usize, data: &[bool], t_pulse: f64) -> Result<FeramArrayOp> {
+        let t0 = self.instr.profile_start();
+        let (ckt, idx) = self.write_netlist(row, data, t_pulse)?;
+        let t_end = T_START + 2.0 * t_pulse + T_RESTORE + 0.4e-9;
+        let rec = self.run(
+            &ckt,
+            t_end,
+            &Probes {
+                polarizations: idx.fcap,
+                ..Probes::default()
+            },
+        )?;
+        let max_disturb = self.disturb(&rec.polarizations, row);
+        self.state = rec.polarizations;
+        if let Some(tel) = self.instr.get() {
+            tel.array.row_writes.inc();
+        }
+        self.instr
+            .profile_end(t0, TraceEvent::ArrayWriteRow, row as u64);
+        Ok(FeramArrayOp {
+            steps: rec.steps,
+            energy: rec.energy,
+            max_disturb,
+        })
+    }
+
+    /// Builds the write-phase circuit for `row` without running it, as
+    /// [`FeramArray::write_row`] drives it: `data` with pulse width
+    /// `t_pulse` (s), applied to this array's stored state.
+    ///
+    /// # Errors
+    ///
+    /// [`CktError::Netlist`] if `data.len() != cols` or `row` is out of
+    /// range.
+    pub fn write_circuit(&self, row: usize, data: &[bool], t_pulse: f64) -> Result<Circuit> {
+        self.write_netlist(row, data, t_pulse).map(|(c, _)| c)
+    }
+
+    fn write_netlist(
+        &self,
+        row: usize,
+        data: &[bool],
+        t_pulse: f64,
+    ) -> Result<(Circuit, FeramIndex)> {
         if data.len() != self.cols {
             return Err(CktError::Netlist(format!(
                 "write_row: got {} bits for {} columns",
@@ -276,7 +338,6 @@ impl FeramArray {
             )));
         }
         let v = self.cell.v_write;
-        let t_restore = 0.5e-9;
         // Phase A (0..t_pulse): plate at 0, bit lines high where data=1.
         // Phase B (t_pulse..2t_pulse): plate pulses high, bit lines low —
         // writes the '0' columns.
@@ -288,7 +349,7 @@ impl FeramArray {
             T_START,
             T_EDGE,
             T_EDGE,
-            2.0 * t_pulse + t_restore,
+            2.0 * t_pulse + T_RESTORE,
         );
         pl_waves[row] = Waveform::pulse(0.0, v, T_START + t_pulse, T_EDGE, T_EDGE, t_pulse);
         // '1' columns hold their bit lines high through the plate phase so
@@ -304,16 +365,7 @@ impl FeramArray {
                 })
             })
             .collect();
-        let ckt = self.build(&wl_waves, &pl_waves, &bl_waves);
-        let t_end = T_START + 2.0 * t_pulse + t_restore + 0.4e-9;
-        let trace = self.run(&ckt, t_end)?;
-        let max_disturb = self.disturb(&trace, row);
-        self.commit(&trace);
-        Ok(FeramArrayOp {
-            energy: trace.total_source_energy(),
-            max_disturb,
-            trace,
-        })
+        Ok(self.build(&wl_waves, &pl_waves, &bl_waves))
     }
 
     /// Destructively reads `row` with develop window `t_dev` (s): bit
@@ -327,6 +379,46 @@ impl FeramArray {
     ///
     /// Row range or convergence errors.
     pub fn read_row(&mut self, row: usize, t_dev: f64) -> Result<(FeramArrayOp, Vec<f64>)> {
+        let t0 = self.instr.profile_start();
+        let (ckt, idx) = self.read_netlist(row, t_dev)?;
+        let t_end = T_START + t_dev + 0.4e-9;
+        let rec = self.run(
+            &ckt,
+            t_end,
+            &Probes {
+                window_nodes: idx.bl,
+                window: (T_START, T_START + t_dev),
+                polarizations: idx.fcap,
+                ..Probes::default()
+            },
+        )?;
+        let max_disturb = self.disturb(&rec.polarizations, row);
+        self.state = rec.polarizations;
+        if let Some(tel) = self.instr.get() {
+            tel.array.row_reads.inc();
+        }
+        self.instr
+            .profile_end(t0, TraceEvent::ArrayReadRow, row as u64);
+        let op = FeramArrayOp {
+            steps: rec.steps,
+            energy: rec.energy,
+            max_disturb,
+        };
+        Ok((op, rec.window_max))
+    }
+
+    /// Builds the read-phase circuit for `row` without running it, as
+    /// [`FeramArray::read_row`] drives it: word line and plate pulsed
+    /// for a develop window `t_dev` (s), bit lines floating.
+    ///
+    /// # Errors
+    ///
+    /// [`CktError::Netlist`] if `row` is out of range.
+    pub fn read_circuit(&self, row: usize, t_dev: f64) -> Result<Circuit> {
+        self.read_netlist(row, t_dev).map(|(c, _)| c)
+    }
+
+    fn read_netlist(&self, row: usize, t_dev: f64) -> Result<(Circuit, FeramIndex)> {
         if row >= self.rows {
             return Err(CktError::Netlist(format!(
                 "read_row: row {row} out of range"
@@ -338,26 +430,7 @@ impl FeramArray {
         pl_waves[row] = Waveform::pulse(0.0, self.cell.v_write, T_START, T_EDGE, T_EDGE, t_dev);
         // Floating bit lines (no drivers).
         let bl_waves: Vec<Option<Waveform>> = vec![None; self.cols];
-        let ckt = self.build(&wl_waves, &pl_waves, &bl_waves);
-        let t_end = T_START + t_dev + 0.4e-9;
-        let trace = self.run(&ckt, t_end)?;
-        let swings: Vec<f64> = (0..self.cols)
-            .map(|j| {
-                trace
-                    .window_max(&format!("v(bl{j})"), T_START, T_START + t_dev)
-                    .unwrap_or(0.0)
-            })
-            .collect();
-        let max_disturb = self.disturb(&trace, row);
-        self.commit(&trace);
-        Ok((
-            FeramArrayOp {
-                energy: trace.total_source_energy(),
-                max_disturb,
-                trace,
-            },
-            swings,
-        ))
+        Ok(self.build(&wl_waves, &pl_waves, &bl_waves))
     }
 
     /// Read-margin sweep with develop window `t_dev` (s): destructively
@@ -374,15 +447,10 @@ impl FeramArray {
     pub fn read_margins(&self, t_dev: f64, threads: usize) -> Result<Vec<Vec<f64>>> {
         let rows: Vec<usize> = (0..self.rows).collect();
         let this = Arc::new(self.clone());
-        fefet_ckt::parallel::pool_map(
-            rows,
-            threads,
-            &fefet_telemetry::Instrumentation::off(),
-            move |&row| {
-                let mut trial = (*this).clone();
-                trial.read_row(row, t_dev).map(|(_, swings)| swings)
-            },
-        )
+        fefet_ckt::parallel::pool_map(rows, threads, &self.instr, move |&row| {
+            let mut trial = (*this).clone();
+            trial.read_row(row, t_dev).map(|(_, swings)| swings)
+        })
         .into_iter()
         .collect()
     }

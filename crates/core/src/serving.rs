@@ -1386,8 +1386,9 @@ impl MemoryService {
     pub fn add_bank(&mut self, mut bank: Bank) -> u32 {
         let id = self.banks.len() as u32;
         bank.rng = Rng::seed_from_u64(bank_seed(self.spec.seed, id));
-        if let BankArray::Fefet(a) = &mut bank.array {
-            a.instr = self.instr.clone();
+        match &mut bank.array {
+            BankArray::Fefet(a) => a.instr = self.instr.clone(),
+            BankArray::Feram(a) => a.instr = self.instr.clone(),
         }
         self.scratch.push(BankScratch::for_rows(bank.rows()));
         self.bank_ops.push(Vec::new());
@@ -2277,6 +2278,37 @@ mod tests {
         assert_eq!(out[0].fidelity, Fidelity::Macro);
         assert_eq!(out[0].word, word);
         assert_eq!(s.escalations, 0);
+    }
+
+    /// FERAM banks report to the service's telemetry like FEFET banks:
+    /// an escalated read or write counts as an array row op and its
+    /// transient's Newton solves land in the engine counters.
+    #[test]
+    fn feram_escalations_reach_the_service_telemetry() {
+        let instr = Instrumentation::enabled();
+        let spec = ServeSpec {
+            force_escalate: true,
+            ..ServeSpec::default()
+        };
+        let mut svc = MemoryService::new(spec, instr.clone()).expect("service");
+        svc.add_bank(feram_bank(2, 4));
+        let tel = instr.get().expect("telemetry");
+        let mut out = Vec::new();
+        let ops = [
+            MemOp::Write {
+                bank: 0,
+                row: 1,
+                word: 0x5,
+            },
+            MemOp::Read { bank: 0, row: 1 },
+        ];
+        let summary = svc.serve(&ops, &mut out).expect("serve");
+        assert_eq!(summary.escalations, 2);
+        assert_eq!(out[0].word, 0x5);
+        assert_eq!(tel.array.row_writes.get(), 1);
+        assert_eq!(tel.array.row_reads.get(), 1);
+        assert!(tel.solver.solves.get() > 0, "no engine solves recorded");
+        assert!(tel.steps.accepted.get() > 0, "no transient steps recorded");
     }
 
     #[test]

@@ -576,7 +576,7 @@ impl YieldEngine {
                 array.set_polarization(i, j, if hi { p_hi } else { p_lo });
             }
         }
-        let circuit = array.read_circuit(0, 3e-9)?;
+        let (circuit, idx) = array.read_netlist(0, 3e-9)?;
         let plan = Arc::new(array.block_plan(&circuit)?);
         let asm = Assembly::new(&circuit);
         let opts = SolverOptions {
@@ -596,45 +596,15 @@ impl YieldEngine {
         // Initial-condition seed: every cell's internal nodes at the
         // static stack solution of its stored polarization.
         let mut x_boot = vec![0.0; n];
-        let missing = || CktError::Netlist("yield: array circuit missing cell nodes".into());
-        let mut fe_idx = Vec::with_capacity(spec.rows * spec.cols);
-        let mut mfet_idx = Vec::with_capacity(spec.rows * spec.cols);
-        for i in 0..spec.rows {
-            for j in 0..spec.cols {
-                let p0 = if pattern_hi[i * spec.cols + j] {
-                    p_hi
-                } else {
-                    p_lo
-                };
-                let g = circuit
-                    .find_node(&format!("g{i}_{j}"))
-                    .ok_or_else(missing)?;
-                let gi = circuit
-                    .find_node(&format!("gi{i}_{j}"))
-                    .ok_or_else(missing)?;
-                x_boot[g.index() - 1] = cell.fefet.v_gate_static(p0);
-                x_boot[gi.index() - 1] = cell.fefet.v_mos_of(p0);
-                fe_idx.push(
-                    circuit
-                        .element_position(&format!("Ffe{i}_{j}"))
-                        .ok_or_else(missing)?,
-                );
-                mfet_idx.push(
-                    circuit
-                        .element_position(&format!("Mfet{i}_{j}"))
-                        .ok_or_else(missing)?,
-                );
-            }
+        for (k, &hi) in pattern_hi.iter().enumerate() {
+            let p0 = if hi { p_hi } else { p_lo };
+            x_boot[idx.g[k].index() - 1] = cell.fefet.v_gate_static(p0);
+            x_boot[idx.gi[k].index() - 1] = cell.fefet.v_mos_of(p0);
         }
-        let mut gi0_x = Vec::with_capacity(spec.cols);
-        let mut sl_x = Vec::with_capacity(spec.cols);
-        for j in 0..spec.cols {
-            let gi = circuit.find_node(&format!("gi0_{j}")).ok_or_else(missing)?;
-            let sl = circuit.find_node(&format!("sl{j}")).ok_or_else(missing)?;
-            gi0_x.push(gi.index() - 1);
-            sl_x.push(sl.index() - 1);
-        }
-        let rs0_x = circuit.find_node("rs0").ok_or_else(missing)?.index() - 1;
+        let gi0_x = idx.gi[..spec.cols].iter().map(|n| n.index() - 1).collect();
+        let sl_x = idx.sl.iter().map(|n| n.index() - 1).collect();
+        let rs0_x = idx.rs[0].index() - 1;
+        let (fe_idx, mfet_idx) = (idx.fe, idx.mfet);
         // Nominal bootstrap: relax the read bias point by pseudo-
         // transient stepping (the FE caps are open in DC, so a pure DC
         // solve cannot see the stored polarization).
