@@ -1,7 +1,7 @@
 //! Pins the zero-allocation Newton hot-path invariant with a counting
 //! global allocator: after the first (cold) solve builds the backend
-//! state inside `NewtonWorkspace`, every further solve — dense or
-//! sparse, DC or transient stamping — must perform exactly zero heap
+//! state inside `NewtonWorkspace`, every further solve — DC or
+//! transient stamping — must perform exactly zero heap
 //! allocations, across stamping, numeric (re)factorization, triangular
 //! solves, damping, and convergence checks.
 //!
@@ -48,17 +48,41 @@ fn warm_newton_solves_allocate_nothing() {
     let n = asm.n_unknowns();
     let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
 
-    for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
-        let opts = SolverOptions {
-            backend,
-            ..SolverOptions::default()
-        };
-        for dc in [true, false] {
-            let mut ws = NewtonWorkspace::new(n);
-            let (h, t) = if dc { (0.0, 0.0) } else { (1e-9, 1e-9) };
-            let mut x = vec![0.0; n];
-            // Cold solve: builds the backend state; must allocate.
-            let (cold, r) = count_allocations(|| {
+    let backend = SolverBackend::Sparse;
+    let opts = SolverOptions {
+        backend,
+        ..SolverOptions::default()
+    };
+    for dc in [true, false] {
+        let mut ws = NewtonWorkspace::new(n);
+        let (h, t) = if dc { (0.0, 0.0) } else { (1e-9, 1e-9) };
+        let mut x = vec![0.0; n];
+        // Cold solve: builds the backend state; must allocate.
+        let (cold, r) = count_allocations(|| {
+            asm.solve_point_with(
+                &c,
+                t,
+                h,
+                Integration::BackwardEuler,
+                dc,
+                &opts,
+                &mut x,
+                &states,
+                &mut ws,
+            )
+        });
+        r.unwrap();
+        assert!(
+            cold > 0,
+            "{backend:?} dc={dc}: cold solve should build backend state"
+        );
+        // Warm solves: perturb the iterate so Newton has to take
+        // several genuine iterations, and demand zero allocations.
+        for trial in 0..3 {
+            for v in x.iter_mut() {
+                *v += 0.013;
+            }
+            let (warm, r) = count_allocations(|| {
                 asm.solve_point_with(
                     &c,
                     t,
@@ -71,37 +95,12 @@ fn warm_newton_solves_allocate_nothing() {
                     &mut ws,
                 )
             });
-            r.unwrap();
-            assert!(
-                cold > 0,
-                "{backend:?} dc={dc}: cold solve should build backend state"
+            let iters = r.unwrap();
+            assert!(iters >= 1);
+            assert_eq!(
+                warm, 0,
+                "{backend:?} dc={dc} trial {trial}: warm solve performed {warm} heap allocations"
             );
-            // Warm solves: perturb the iterate so Newton has to take
-            // several genuine iterations, and demand zero allocations.
-            for trial in 0..3 {
-                for v in x.iter_mut() {
-                    *v += 0.013;
-                }
-                let (warm, r) = count_allocations(|| {
-                    asm.solve_point_with(
-                        &c,
-                        t,
-                        h,
-                        Integration::BackwardEuler,
-                        dc,
-                        &opts,
-                        &mut x,
-                        &states,
-                        &mut ws,
-                    )
-                });
-                let iters = r.unwrap();
-                assert!(iters >= 1);
-                assert_eq!(
-                    warm, 0,
-                    "{backend:?} dc={dc} trial {trial}: warm solve performed {warm} heap allocations"
-                );
-            }
         }
     }
 }

@@ -1,7 +1,6 @@
-//! Performance benches for the numerical substrate: the LU kernel, the
-//! Newton/transient engine, and the array-level sweeps — comparing the
-//! zero-allocation workspace paths against the original allocating
-//! implementations they replaced.
+//! Performance benches for the numerical substrate: the Newton/transient
+//! engine on its sparse and BBD backends, the transient fast paths, the
+//! array-level sweeps and the Monte Carlo yield engine.
 //!
 //! A full run writes `BENCH_solvers.json` at the repository root (the
 //! committed baseline); `TINYBENCH_SMOKE=1` runs every workload once
@@ -18,138 +17,11 @@ use fefet_device::paper_fefet;
 use fefet_mem::array::{FastPathToggles, FefetArray};
 use fefet_mem::cell::FefetCell;
 use fefet_mem::yield_engine::{YieldEngine, YieldSpec};
-use fefet_numerics::linalg::{norm_inf, LuWorkspace, Matrix};
 use fefet_numerics::rng::Rng;
 use fefet_telemetry::Instrumentation;
 
-/// The original (pre-workspace) LU implementation, kept verbatim as the
-/// bench baseline: `Index`-based element access with its per-access
-/// bounds checks, a gathered final permutation, and an allocating solve.
-mod seed_lu {
-    use fefet_numerics::linalg::Matrix;
-
-    pub struct SeedLu {
-        lu: Matrix,
-        perm: Vec<usize>,
-    }
-
-    #[allow(clippy::needless_range_loop)]
-    pub fn factor(mut a: Matrix) -> SeedLu {
-        let n = a.rows();
-        let mut perm: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            let mut p = k;
-            let mut max = a[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = a[(i, k)].abs();
-                if v > max {
-                    max = v;
-                    p = i;
-                }
-            }
-            assert!(max >= 1e-300, "seed_lu: singular at column {k}");
-            if p != k {
-                for c in 0..n {
-                    let tmp = a[(k, c)];
-                    a[(k, c)] = a[(p, c)];
-                    a[(p, c)] = tmp;
-                }
-                perm.swap(k, p);
-            }
-            let pivot = a[(k, k)];
-            for i in (k + 1)..n {
-                let factor = a[(i, k)] / pivot;
-                a[(i, k)] = factor;
-                for c in (k + 1)..n {
-                    let akc = a[(k, c)];
-                    a[(i, c)] -= factor * akc;
-                }
-            }
-        }
-        SeedLu { lu: a, perm }
-    }
-
-    impl SeedLu {
-        #[allow(clippy::needless_range_loop)]
-        pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-            let n = self.lu.rows();
-            let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
-            for i in 1..n {
-                let mut s = x[i];
-                for j in 0..i {
-                    s -= self.lu[(i, j)] * x[j];
-                }
-                x[i] = s;
-            }
-            for i in (0..n).rev() {
-                let mut s = x[i];
-                for j in (i + 1)..n {
-                    s -= self.lu[(i, j)] * x[j];
-                }
-                x[i] = s / self.lu[(i, i)];
-            }
-            x
-        }
-    }
-}
-
-/// The original engine's Newton loop, the baseline this PR replaces: a
-/// fresh `Matrix::zeros`, residual `Vec`, `jac.clone()`, negated-residual
-/// `Vec`, and allocating solve on **every iteration**, on top of
-/// [`seed_lu`]. Arithmetic matches [`Assembly::solve_point_with`], so
-/// both converge through identical iterates — only the memory behavior
-/// differs.
-#[allow(clippy::too_many_arguments)]
-fn newton_alloc(
-    asm: &Assembly,
-    ckt: &Circuit,
-    t: f64,
-    opts: &SolverOptions,
-    x0: &[f64],
-    states: &[ElemState],
-) -> Vec<f64> {
-    let n = asm.n_unknowns();
-    let nv = asm.n_nodes - 1;
-    let mut x = x0.to_vec();
-    for _ in 0..opts.max_newton {
-        let mut jac = Matrix::zeros(n, n);
-        let mut res = vec![0.0; n];
-        asm.stamp_all(
-            ckt,
-            t,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            opts.gmin,
-            &x,
-            states,
-            &mut jac,
-            &mut res,
-        );
-        let res_kcl = norm_inf(&res[..nv]);
-        let res_branch = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
-        let lu = seed_lu::factor(jac.clone());
-        let neg: Vec<f64> = res.iter().map(|r| -r).collect();
-        let mut dx = lu.solve(&neg);
-        let dv_max = if nv > 0 { norm_inf(&dx[..nv]) } else { 0.0 };
-        if nv > 0 && dv_max > opts.max_v_step {
-            let s = opts.max_v_step / dv_max;
-            for d in dx.iter_mut() {
-                *d *= s;
-            }
-        }
-        for (xi, di) in x.iter_mut().zip(&dx) {
-            *xi += di;
-        }
-        let dv = if nv > 0 { norm_inf(&dx[..nv]) } else { 0.0 };
-        if dv < opts.tol_v && res_kcl < opts.tol_i && res_branch < opts.tol_v {
-            return x;
-        }
-    }
-    panic!("newton_alloc failed to converge");
-}
-
-/// In-place counterpart on the same circuit and options.
+/// One DC point solve at time `t` from `x0`, into `x`, on the caller's
+/// workspace.
 #[allow(clippy::too_many_arguments)]
 fn newton_inplace(
     asm: &Assembly,
@@ -176,39 +48,6 @@ fn newton_inplace(
     .expect("newton_inplace failed to converge");
 }
 
-fn bench_lu(report: &mut Report) {
-    for n in [8usize, 16, 32, 64] {
-        // Diagonally dominant matrix like an MNA system.
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    m[(i, j)] = -1.0 / (1.0 + (i + j) as f64);
-                    m[(i, i)] += 1.0 / (1.0 + (i + j) as f64);
-                }
-            }
-            m[(i, i)] += 1.0;
-        }
-        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let mut ws = LuWorkspace::new(n);
-        let mut x = vec![0.0; n];
-        report.bench_pair(
-            &format!("lu_factor_solve_alloc/{n}"),
-            &format!("lu_factor_solve_inplace/{n}"),
-            || {
-                let lu = seed_lu::factor(opaque(m.clone()));
-                lu.solve(&b)
-            },
-            || {
-                ws.factor(opaque(&m)).unwrap();
-                x.copy_from_slice(&b);
-                ws.solve_into(&mut x).unwrap();
-                x.last().copied()
-            },
-        );
-    }
-}
-
 /// The read-phase circuit of an array, at a bias point inside the read
 /// window, with DC element states — one representative Newton solve.
 fn read_solve_fixture(rows: usize, cols: usize) -> (Circuit, Assembly, Vec<ElemState>) {
@@ -229,15 +68,10 @@ fn bench_newton(report: &mut Report) {
         let x0 = vec![0.0; asm.n_unknowns()];
         let mut ws = NewtonWorkspace::new(asm.n_unknowns());
         let mut x = vec![0.0; asm.n_unknowns()];
-        report.bench_pair(
-            "newton_cell_2t_alloc",
-            "newton_cell_2t",
-            || newton_alloc(&asm, &ckt, t_bias, &opts, &x0, &states),
-            || {
-                newton_inplace(&asm, &ckt, t_bias, &opts, &mut x, &x0, &states, &mut ws);
-                x.last().copied()
-            },
-        );
+        report.bench("newton_cell_2t", || {
+            newton_inplace(&asm, &ckt, t_bias, &opts, &mut x, &x0, &states, &mut ws);
+            x.last().copied()
+        });
         // The transient per-timestep workload: warm-started from the
         // converged point, as every accepted step warm-starts from its
         // predecessor. This is the solve the engine runs thousands of
@@ -254,17 +88,12 @@ fn bench_newton(report: &mut Report) {
             &states,
             &mut ws2,
         );
-        report.bench_pair(
-            "newton_cell_2t_step_alloc",
-            "newton_cell_2t_step",
-            || newton_alloc(&asm, &ckt, t_bias, &opts, &x_star, &states),
-            || {
-                newton_inplace(
-                    &asm, &ckt, t_bias, &opts, &mut x, &x_star, &states, &mut ws2,
-                );
-                x.last().copied()
-            },
-        );
+        report.bench("newton_cell_2t_step", || {
+            newton_inplace(
+                &asm, &ckt, t_bias, &opts, &mut x, &x_star, &states, &mut ws2,
+            );
+            x.last().copied()
+        });
     }
     // Array-sized system: the 8x8 read circuit (~200+ unknowns).
     {
@@ -272,28 +101,22 @@ fn bench_newton(report: &mut Report) {
         let x0 = vec![0.0; asm.n_unknowns()];
         let mut ws = NewtonWorkspace::new(asm.n_unknowns());
         let mut x = vec![0.0; asm.n_unknowns()];
-        report.bench_pair(
-            "newton_array_8x8_alloc",
-            "newton_array_8x8",
-            || newton_alloc(&asm, &ckt, t_bias, &opts, &x0, &states),
-            || {
-                newton_inplace(&asm, &ckt, t_bias, &opts, &mut x, &x0, &states, &mut ws);
-                x.last().copied()
-            },
-        );
+        report.bench("newton_array_8x8", || {
+            newton_inplace(&asm, &ckt, t_bias, &opts, &mut x, &x0, &states, &mut ws);
+            x.last().copied()
+        });
     }
 }
 
-/// Dense vs pattern-cached sparse vs BBD/Schur at growing array sizes,
-/// in two regimes:
+/// Pattern-cached sparse vs BBD/Schur at growing array sizes, in two
+/// regimes:
 ///
 /// **Warm exact** — from the converged point with Jacobian reuse off,
 /// so each call is one full stamp + factor + solve (the cost a
 /// transient pays on every Jacobian change). Here the global Markowitz
 /// ordering is excellent on the crossbar pattern and plain sparse
 /// stays ahead of the Schur path; the numbers are recorded so that
-/// tradeoff stays visible. Dense is measured alongside (once, above
-/// 16×16, where a dense factor costs seconds to minutes).
+/// tradeoff stays visible.
 ///
 /// **Cold** — a fresh workspace solving from zeros: pattern recording,
 /// symbolic analysis, factorization, Newton iteration. This is where
@@ -314,10 +137,6 @@ fn bench_newton_scaling(report: &mut Report) {
             jacobian_reuse: false,
             bypass: false,
             ..SolverOptions::default()
-        };
-        let opts_dense = SolverOptions {
-            backend: SolverBackend::Dense,
-            ..exact.clone()
         };
         let opts_sparse = SolverOptions {
             backend: SolverBackend::Sparse,
@@ -358,7 +177,6 @@ fn bench_newton_scaling(report: &mut Report) {
             &states,
             &mut ws_bbd,
         );
-        let name_dense = format!("newton_array_{rows}x{cols}_dense");
         let name_sparse = format!("newton_array_{rows}x{cols}_sparse");
         let name_bbd = format!("newton_array_{rows}x{cols}_bbd");
         report.bench_pair(
@@ -391,35 +209,6 @@ fn bench_newton_scaling(report: &mut Report) {
                 xb.last().copied()
             },
         );
-        // A dense exact factor is O(n³): ~seconds at 32×32, minutes at
-        // 64×64 — one measured sample records the scaling story without
-        // dominating the run; the 64×64 point is skipped in smoke runs.
-        let mut ws_dense = NewtonWorkspace::new(n);
-        let mut xd = vec![0.0; n];
-        let mut dense_measured = true;
-        let dense_solve = |xd: &mut Vec<f64>, ws_dense: &mut NewtonWorkspace| {
-            newton_inplace(
-                &asm,
-                &ckt,
-                t_bias,
-                &opts_dense,
-                xd,
-                &x_star,
-                &states,
-                ws_dense,
-            );
-            xd.last().copied()
-        };
-        if rows <= 16 {
-            report.bench(&name_dense, || dense_solve(&mut xd, &mut ws_dense));
-        } else if rows <= 32 || !smoke() {
-            report.bench_once(&name_dense, || dense_solve(&mut xd, &mut ws_dense));
-        } else {
-            dense_measured = false;
-        }
-        if dense_measured {
-            report.annotate(&name_dense, n as u64, None);
-        }
         report.annotate(&name_sparse, n as u64, nnz);
         report.annotate(&name_bbd, n as u64, nnz);
         // One instrumented solve per side records how many Newton
@@ -506,9 +295,9 @@ fn bench_newton_scaling(report: &mut Report) {
 }
 
 /// The feasibility milestone: one exact point solve of the 256×256
-/// array's read circuit (133,888 unknowns) on the BBD backend. Dense
-/// is hopeless at this size and even the plain sparse factorization
-/// is painful; the block structure keeps it tractable. Full runs only.
+/// array's read circuit (133,888 unknowns) on the BBD backend. The
+/// plain sparse factorization is painful at this size; the block
+/// structure keeps it tractable. Full runs only.
 fn bench_newton_256(report: &mut Report) {
     if smoke() {
         return;
@@ -634,7 +423,7 @@ fn bench_instr_overhead(report: &mut Report) {
         report.attach_telemetry(
             "newton_array_16x16_instr_on",
             tel.solver.newton_iterations.sum() as u64,
-            tel.solver.sparse_refactors.get() + tel.solver.dense_factors.get(),
+            tel.solver.sparse_refactors.get(),
         );
     }
     // Min-of-batches ratio: on a shared 1-core host, scheduler noise
@@ -745,7 +534,7 @@ fn bench_fastpaths(report: &mut Report) {
         t.instr = Instrumentation::enabled();
         t.read_row(0, t_read).expect("instrumented row read");
         if let Some(tel) = t.instr.get() {
-            factors[k] = tel.solver.sparse_refactors.get() + tel.solver.dense_factors.get();
+            factors[k] = tel.solver.sparse_refactors.get();
             report.attach_telemetry(name, tel.solver.newton_iterations.sum() as u64, factors[k]);
         }
     }
@@ -774,11 +563,11 @@ fn bench_fastpaths(report: &mut Report) {
 }
 
 fn bench_array_sweep(report: &mut Report) {
-    // `Auto` picks the sparse backend here (n > crossover); a forced-
-    // dense copy is measured alongside as the seed-equivalent baseline.
+    // `Auto` picks the sparse backend here (n < BBD crossover); a
+    // forced-BBD copy serves as the untimed cross-backend reference.
     let a = seeded(8, 8);
-    let mut dense_a = a.clone();
-    dense_a.solver_backend = SolverBackend::Dense;
+    let mut bbd_a = a.clone();
+    bbd_a.solver_backend = SolverBackend::Bbd;
     let n8 = a.mna_dims().expect("8x8 dims").n_unknowns as u64;
     let rows: Vec<usize> = (0..8).collect();
     let t_read = 0.3e-9;
@@ -814,14 +603,8 @@ fn bench_array_sweep(report: &mut Report) {
             tel.pool.tasks_stolen.get(),
         );
     }
-    let mut dense = Vec::new();
-    report.bench_once("array_read_sweep_8x8_dense_serial", || {
-        dense = dense_a.read_rows(&rows, t_read, 1).expect("dense sweep");
-        dense.len()
-    });
     report.annotate("array_read_sweep_8x8_serial", n8, None);
     report.annotate("array_read_sweep_8x8_par4", n8, None);
-    report.annotate("array_read_sweep_8x8_dense_serial", n8, None);
     // The acceptance bar for the parallel sweep: serial and threaded
     // results agree to the last mantissa bit.
     assert_eq!(serial.len(), par.len());
@@ -836,22 +619,23 @@ fn bench_array_sweep(report: &mut Report) {
     }
     println!("array_read_sweep serial/par4: bit-identical over all 8 rows");
     // And for the sparse backend: same bits and step sequences as the
-    // dense reference. With the fast paths on, the two backends stop at
+    // BBD reference. With the fast paths on, the two backends stop at
     // solver tolerance along different Newton trajectories, so currents
     // agree to 1e-6 relative (tolerance-limited), not machine epsilon.
-    assert_eq!(serial.len(), dense.len());
-    for (s, d) in serial.iter().zip(&dense) {
-        assert_eq!(s.bits, d.bits);
-        assert_eq!(s.op.steps, d.op.steps);
-        for (cs, cd) in s.currents.iter().zip(&d.currents) {
-            let scale = cs.abs().max(cd.abs()).max(1e-30);
+    let reference = bbd_a.read_rows(&rows, t_read, 1).expect("bbd sweep");
+    assert_eq!(serial.len(), reference.len());
+    for (s, b) in serial.iter().zip(&reference) {
+        assert_eq!(s.bits, b.bits);
+        assert_eq!(s.op.steps, b.op.steps);
+        for (cs, cb) in s.currents.iter().zip(&b.currents) {
+            let scale = cs.abs().max(cb.abs()).max(1e-30);
             assert!(
-                (cs - cd).abs() / scale < 1e-6,
-                "sparse/dense current mismatch: {cs:e} vs {cd:e}"
+                (cs - cb).abs() / scale < 1e-6,
+                "sparse/bbd current mismatch: {cs:e} vs {cb:e}"
             );
         }
     }
-    println!("array_read_sweep sparse/dense: bits + step counts agree, currents < 1e-6 rel");
+    println!("array_read_sweep sparse/bbd: bits + step counts agree, currents < 1e-6 rel");
 
     // The scaling headline: a 16×16 sweep (4x the cells, ~3x the
     // unknowns) under the sparse backend.
@@ -1097,7 +881,6 @@ fn bench_lk_stepper(report: &mut Report) {
 
 fn main() {
     let mut report = Report::new();
-    bench_lu(&mut report);
     bench_newton(&mut report);
     bench_newton_scaling(&mut report);
     bench_newton_256(&mut report);
@@ -1110,33 +893,6 @@ fn main() {
     bench_lk_stepper(&mut report);
 
     // Derived headline ratios.
-    if let (Some(alloc), Some(inplace)) = (
-        report.median_of("newton_cell_2t_alloc"),
-        report.median_of("newton_cell_2t"),
-    ) {
-        println!(
-            "newton_cell speedup (alloc/inplace):          {:.2}x",
-            alloc / inplace
-        );
-    }
-    if let (Some(alloc), Some(inplace)) = (
-        report.median_of("newton_cell_2t_step_alloc"),
-        report.median_of("newton_cell_2t_step"),
-    ) {
-        println!(
-            "newton_cell_step speedup (alloc/inplace):     {:.2}x",
-            alloc / inplace
-        );
-    }
-    if let (Some(alloc), Some(inplace)) = (
-        report.median_of("newton_array_8x8_alloc"),
-        report.median_of("newton_array_8x8"),
-    ) {
-        println!(
-            "newton_array_8x8 speedup (alloc/inplace):     {:.2}x",
-            alloc / inplace
-        );
-    }
     if let (Some(serial), Some(par)) = (
         report.median_of("array_read_sweep_8x8_serial"),
         report.median_of("array_read_sweep_8x8_par4"),
@@ -1147,15 +903,6 @@ fn main() {
         );
     }
     for size in ["8x8", "16x16", "32x32", "64x64"] {
-        if let (Some(dense), Some(sparse)) = (
-            report.median_of(&format!("newton_array_{size}_dense")),
-            report.median_of(&format!("newton_array_{size}_sparse")),
-        ) {
-            println!(
-                "newton_array_{size} speedup (dense/sparse):   {:.2}x",
-                dense / sparse
-            );
-        }
         if let (Some(sparse), Some(bbd)) = (
             report.median_of(&format!("newton_array_{size}_sparse")),
             report.median_of(&format!("newton_array_{size}_bbd")),
@@ -1174,15 +921,6 @@ fn main() {
                 sparse / bbd
             );
         }
-    }
-    if let (Some(dense), Some(sparse)) = (
-        report.median_of("array_read_sweep_8x8_dense_serial"),
-        report.median_of("array_read_sweep_8x8_serial"),
-    ) {
-        println!(
-            "array_read_sweep_8x8 speedup (dense/sparse):  {:.2}x",
-            dense / sparse
-        );
     }
 
     // A full run leaves the committed baseline at the repository root;

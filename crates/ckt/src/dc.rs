@@ -261,6 +261,7 @@ mod tests {
     use super::*;
     use crate::models::MosParams;
     use crate::waveform::Waveform;
+    use fefet_telemetry::Instrumentation;
 
     #[test]
     fn nan_source_is_a_typed_nonfinite_error() {
@@ -268,11 +269,23 @@ mod tests {
         let a = c.node("a");
         c.vsource("V1", a, Circuit::GND, Waveform::dc(f64::NAN));
         c.resistor("R1", a, Circuit::GND, 1e3);
-        let res = dc_operating_point(&c, DcOptions::default());
+        let instr = Instrumentation::enabled();
+        let opts = DcOptions {
+            solver: SolverOptions {
+                instr: instr.clone(),
+                ..SolverOptions::default()
+            },
+            ..DcOptions::default()
+        };
+        let res = dc_operating_point(&c, opts);
         assert!(
             matches!(res, Err(CktError::NonFinite { .. })),
             "expected NonFinite, got {res:?}"
         );
+        // The failed solve reaches telemetry like any other outcome.
+        let tel = instr.get().unwrap();
+        assert_eq!(tel.solver.failures.get(), 1);
+        assert_eq!(tel.solver.solves.get(), 0);
     }
 
     #[test]
@@ -406,7 +419,6 @@ mod tests {
 
     #[test]
     fn starved_newton_reports_structured_convergence_diagnostics() {
-        use fefet_telemetry::Instrumentation;
         // A diode clamp needs ~10 Newton iterations from a zero guess;
         // two are not enough, with or without gmin stepping, so the
         // solve must fail with a populated ConvergenceReport rather

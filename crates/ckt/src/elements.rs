@@ -12,6 +12,7 @@
 
 use crate::models::{FeCapParams, MosParams, MosPolarity};
 use crate::waveform::Waveform;
+#[cfg(test)]
 use fefet_numerics::linalg::Matrix;
 use std::cell::Cell;
 
@@ -164,7 +165,9 @@ impl<'a> EvalCtx<'a> {
 /// `values[slot] += g` with zero searching or hashing.
 #[derive(Debug)]
 pub(crate) enum JacTarget<'a> {
-    /// Dense stamping straight into a [`Matrix`].
+    /// Dense stamping straight into a `Matrix`: the reference target of
+    /// the element unit tests and the engine's dense test solve.
+    #[cfg(test)]
     Dense(&'a mut Matrix),
     /// Slot-indexed sparse stamping into a CSR value array.
     Sparse {
@@ -193,15 +196,6 @@ pub struct Sys<'a> {
 }
 
 impl<'a> Sys<'a> {
-    /// Dense-target view, the historical default.
-    pub(crate) fn dense(jac: &'a mut Matrix, res: &'a mut [f64], n_nodes: usize) -> Self {
-        Sys {
-            jac: JacTarget::Dense(jac),
-            res,
-            n_nodes,
-        }
-    }
-
     /// Slots consumed so far on a sparse target (`None` otherwise).
     pub(crate) fn sparse_cursor(&self) -> Option<usize> {
         match &self.jac {
@@ -214,6 +208,7 @@ impl<'a> Sys<'a> {
     #[inline]
     pub(crate) fn jac_add(&mut self, r: usize, c: usize, g: f64) {
         match &mut self.jac {
+            #[cfg(test)]
             JacTarget::Dense(m) => m.add(r, c, g),
             JacTarget::Sparse {
                 values,

@@ -14,7 +14,7 @@ use crate::elements::{
 use crate::plan::{AnalysisCache, BlockPlan};
 use crate::CktError;
 use fefet_numerics::bbd::BbdLu;
-use fefet_numerics::linalg::{norm_inf, LuWorkspace, Matrix};
+use fefet_numerics::linalg::norm_inf;
 use fefet_numerics::sparse::{CsrMatrix, CsrPattern, SparseLu};
 use fefet_telemetry::{ConvergenceReport, Instrumentation, TraceEvent};
 use std::sync::Arc;
@@ -22,28 +22,16 @@ use std::sync::Arc;
 /// Linear-solver backend for the Newton inner solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverBackend {
-    /// Dense LU below [`SPARSE_CROSSOVER`] unknowns, sparse LU above —
-    /// promoted to BBD at [`BBD_CROSSOVER`] when the options carry a
-    /// [`BlockPlan`].
+    /// Sparse LU at every size, promoted to BBD at [`BBD_CROSSOVER`]
+    /// unknowns when the options carry a [`BlockPlan`].
     #[default]
     Auto,
-    /// Dense LU with partial pivoting, regardless of size.
-    Dense,
     /// Pattern-cached sparse LU, regardless of size.
     Sparse,
     /// Bordered-block-diagonal Schur-complement LU over the partition in
     /// [`SolverOptions::block_plan`] (required), regardless of size.
     Bbd,
 }
-
-/// System order at which `Auto` switches from dense to sparse LU.
-///
-/// Single-cell circuits (≈ 13 unknowns) factor faster dense — the CSR
-/// indirection is pure overhead at that size — while an 8×8 array
-/// (≈ 216 unknowns) is already an order of magnitude faster sparse.
-/// The break-even sits near a few dozen unknowns; 64 is conservative in
-/// the safe direction on both sides.
-pub const SPARSE_CROSSOVER: usize = 64;
 
 /// System order at which `Auto` promotes sparse LU to the
 /// bordered-block-diagonal backend, provided the options carry a
@@ -142,37 +130,35 @@ struct FactorKey {
 }
 
 /// Resolved backend for one solve — [`SolverBackend`] with `Auto`
-/// already decided by system order and plan availability.
+/// already decided by system order and plan availability. The
+/// discriminant is the backend code of [`TraceEvent::Factor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BackendKind {
-    Dense,
-    Sparse,
-    Bbd,
+    Sparse = 1,
+    Bbd = 2,
 }
 
 /// Reusable Newton-iteration buffers: Jacobian, residual, update vector,
 /// and factorization storage for one system size.
 ///
 /// Owned by the analysis drivers ([`crate::dc`], [`crate::transient`])
-/// and threaded through [`Assembly::solve_point_with`]. Backend state is
-/// built lazily on the first solve that needs it — dense Jacobian + LU
-/// buffers for the dense backend, CSR pattern + slot table + symbolic
-/// factorization for the sparse one (per stamping mode, since DC and
-/// transient patterns differ) — and reused for every subsequent
-/// iteration of every step, so a warmed-up analysis run performs **zero
-/// heap allocation** in the Newton loop. Element `stamp` implementations
-/// must likewise not allocate — they only accumulate into the borrowed
-/// Jacobian/residual.
+/// and threaded through [`Assembly::solve_point_with`]. Backend state —
+/// CSR pattern, slot table and symbolic factorization, for the sparse
+/// or the BBD backend — is built lazily on the first solve that needs
+/// it, once per stamping mode (DC and transient patterns differ), and
+/// reused for every subsequent iteration of every step, so a warmed-up
+/// analysis run performs **zero heap allocation** in the Newton loop.
+/// Element `stamp` implementations must likewise not allocate — they
+/// only accumulate into the borrowed Jacobian/residual.
 #[derive(Debug)]
 pub struct NewtonWorkspace {
     n: usize,
     res: Vec<f64>,
     dx: Vec<f64>,
-    dense: Option<DenseState>,
-    sparse_dc: Option<SparseState>,
-    sparse_tr: Option<SparseState>,
-    bbd_dc: Option<BbdState>,
-    bbd_tr: Option<BbdState>,
+    sparse_dc: Option<CsrState<SparseLu>>,
+    sparse_tr: Option<CsrState<SparseLu>>,
+    bbd_dc: Option<CsrState<BbdLu>>,
+    bbd_tr: Option<CsrState<BbdLu>>,
     /// Device-bypass operating-point cache, one slot per element; built
     /// lazily on the first bypass-enabled solve.
     bypass: Option<BypassBank>,
@@ -181,32 +167,51 @@ pub struct NewtonWorkspace {
     factor_key: Option<FactorKey>,
 }
 
-/// Dense backend: full Jacobian storage plus LU workspace.
-#[derive(Debug)]
-struct DenseState {
-    jac: Matrix,
-    lu: LuWorkspace,
-}
-
-/// Sparse backend for one stamping mode (DC or transient): the CSR
+/// Backend state for one stamping mode (DC or transient): the CSR
 /// Jacobian over the circuit's fixed pattern, the preresolved slot per
-/// Jacobian add in stamp order, and the analyzed sparse LU.
+/// Jacobian add in stamp order, and the analyzed factorization. Both
+/// backends stamp the same global CSR; the BBD one scatters it into
+/// block/border storage through its precomputed destination map.
 #[derive(Debug)]
-struct SparseState {
+struct CsrState<L> {
     a: CsrMatrix,
     slots: Vec<usize>,
-    lu: SparseLu,
+    lu: L,
 }
 
-/// BBD backend for one stamping mode: elements stamp the *global* CSR
-/// Jacobian exactly as for the sparse backend (same pattern, same slot
-/// table), and the factorization scatters it into block/border storage
-/// through its precomputed destination map.
-#[derive(Debug)]
-struct BbdState {
-    a: CsrMatrix,
-    slots: Vec<usize>,
-    lu: BbdLu,
+/// The active backend's factorization, borrowed for one solve.
+enum ActiveLu<'a> {
+    Sparse(&'a mut SparseLu),
+    Bbd(&'a mut BbdLu),
+}
+
+impl ActiveLu<'_> {
+    fn is_factored(&self) -> bool {
+        match self {
+            ActiveLu::Sparse(lu) => lu.is_factored(),
+            ActiveLu::Bbd(lu) => lu.is_factored(),
+        }
+    }
+
+    /// Permuted triangular solves against the stored factors.
+    fn solve_in_place(&mut self, b: &mut [f64]) -> fefet_numerics::Result<()> {
+        match self {
+            ActiveLu::Sparse(lu) => lu.solve_in_place(b),
+            ActiveLu::Bbd(lu) => lu.solve_in_place(b),
+        }
+    }
+
+    /// Numeric refactorization of `a`, then the solve.
+    fn factor_solve_in_place(
+        &mut self,
+        a: &CsrMatrix,
+        b: &mut [f64],
+    ) -> fefet_numerics::Result<()> {
+        match self {
+            ActiveLu::Sparse(lu) => lu.factor_solve_in_place(a, b),
+            ActiveLu::Bbd(lu) => lu.factor_solve_in_place(a, b),
+        }
+    }
 }
 
 impl NewtonWorkspace {
@@ -218,7 +223,6 @@ impl NewtonWorkspace {
             n,
             res: vec![0.0; n],
             dx: vec![0.0; n],
-            dense: None,
             sparse_dc: None,
             sparse_tr: None,
             bbd_dc: None,
@@ -306,39 +310,18 @@ impl Assembly {
         self.n_nodes - 1 + self.n_branches
     }
 
-    /// Assembles residual and Jacobian at iterate `x` (dense target)
-    /// at time `t` (s) with step `h` (s) and diagonal leak `gmin` (S).
-    #[allow(clippy::too_many_arguments)]
-    pub fn stamp_all(
-        &self,
-        ckt: &Circuit,
-        t: f64,
-        h: f64,
-        method: Integration,
-        dc: bool,
-        gmin: f64,
-        x: &[f64],
-        states: &[ElemState],
-        jac: &mut Matrix,
-        res: &mut [f64],
-    ) {
-        jac.clear();
-        res.fill(0.0);
-        let mut sys = Sys::dense(jac, res, self.n_nodes);
-        self.stamp_sys(ckt, t, h, method, dc, gmin, x, states, &mut sys, None);
-    }
-
     /// Stamps every element plus the gmin conditioning diagonal into an
     /// already-cleared system view.
     ///
-    /// This is the single assembly path behind all three Jacobian
-    /// targets (dense, slot-indexed sparse, pattern recording), which is
-    /// what makes the slot-indexed invariant hold by construction: the
-    /// sequence of Jacobian adds is identical for a given circuit and
-    /// `dc` flag no matter the target. The gmin diagonal is stamped
-    /// unconditionally (adding `0.0` when gmin is disabled) so the node
-    /// diagonals are always part of the sparse pattern and the add
-    /// sequence never depends on the gmin value.
+    /// This is the single assembly path behind every Jacobian target
+    /// (slot-indexed sparse, pattern recording, residual-only, and the
+    /// tests' dense reference), which is what makes the slot-indexed
+    /// invariant hold by construction: the sequence of Jacobian adds is
+    /// identical for a given circuit and `dc` flag no matter the
+    /// target. The gmin diagonal is stamped unconditionally (adding
+    /// `0.0` when gmin is disabled) so the node diagonals are always
+    /// part of the sparse pattern and the add sequence never depends on
+    /// the gmin value.
     ///
     /// `bypass` (bank + voltage tolerance) enables the device-bypass
     /// fast path for this stamp pass; bypassed elements still issue the
@@ -438,7 +421,7 @@ impl Assembly {
         opts: &SolverOptions,
         x: &[f64],
         states: &[ElemState],
-    ) -> Result<SparseState, CktError> {
+    ) -> Result<CsrState<SparseLu>, CktError> {
         let (pattern, slots) = self.record_pattern(ckt, t, h, method, dc, opts.gmin, x, states)?;
         let (lu, cache_hit) = match &opts.cache {
             Some(cache) => cache.sparse(&pattern, || SparseLu::analyze(&pattern))?,
@@ -457,7 +440,7 @@ impl Assembly {
             tel.solver.sparse_fill_nnz.record_max(fill as u64);
         }
         let a = CsrMatrix::from_pattern(pattern);
-        Ok(SparseState { a, slots, lu })
+        Ok(CsrState { a, slots, lu })
     }
 
     /// Builds the BBD backend state for one stamping mode: the global
@@ -476,7 +459,7 @@ impl Assembly {
         plan: &BlockPlan,
         x: &[f64],
         states: &[ElemState],
-    ) -> Result<BbdState, CktError> {
+    ) -> Result<CsrState<BbdLu>, CktError> {
         let (pattern, slots) = self.record_pattern(ckt, t, h, method, dc, opts.gmin, x, states)?;
         let structure = plan.block_structure(self)?;
         let (lu, cache_hit) = match &opts.cache {
@@ -504,7 +487,7 @@ impl Assembly {
             tel.solver.sparse_fill_nnz.record_max(lu.fill_nnz() as u64);
         }
         let a = CsrMatrix::from_pattern(pattern);
-        Ok(BbdState { a, slots, lu })
+        Ok(CsrState { a, slots, lu })
     }
 
     /// Newton iteration for one solution point. Returns the converged
@@ -546,10 +529,14 @@ impl Assembly {
     /// `x` holds the initial iterate on entry and the converged unknown
     /// vector on successful return (on error it holds the last partial
     /// iterate — callers that retry must keep their own copy). All
-    /// scratch storage lives in `ws`; backend state (dense buffers or
-    /// the sparse pattern/symbolic factorization) is built inside `ws`
-    /// on first use, after which the Newton loop performs no heap
-    /// allocation.
+    /// scratch storage lives in `ws`; backend state (the CSR pattern and
+    /// symbolic factorization) is built inside `ws` on first use, after
+    /// which the Newton loop performs no heap allocation.
+    ///
+    /// Every outcome, success or error, is recorded the same way: a
+    /// converged solve in `solves`, any failed one in `failures`, and
+    /// both in the Jacobian-reuse and bypass tallies and (when
+    /// profiling) the `solve_ns` histogram.
     ///
     /// # Errors
     ///
@@ -584,68 +571,16 @@ impl Assembly {
             )));
         }
         let kind = match opts.backend {
-            SolverBackend::Dense => BackendKind::Dense,
             SolverBackend::Sparse => BackendKind::Sparse,
             SolverBackend::Bbd => BackendKind::Bbd,
-            SolverBackend::Auto => {
-                if opts.block_plan.is_some() && n >= BBD_CROSSOVER {
-                    BackendKind::Bbd
-                } else if n >= SPARSE_CROSSOVER {
-                    BackendKind::Sparse
-                } else {
-                    BackendKind::Dense
-                }
+            SolverBackend::Auto if opts.block_plan.is_some() && n >= BBD_CROSSOVER => {
+                BackendKind::Bbd
             }
+            SolverBackend::Auto => BackendKind::Sparse,
         };
-        if kind == BackendKind::Bbd && opts.block_plan.is_none() {
-            return Err(CktError::Netlist(
-                "bbd backend requires a block plan in SolverOptions".into(),
-            ));
-        }
-        // Lazy one-time backend setup; every later call reuses it.
-        match kind {
-            BackendKind::Sparse => {
-                let slot = if dc {
-                    &mut ws.sparse_dc
-                } else {
-                    &mut ws.sparse_tr
-                };
-                if slot.is_none() {
-                    *slot = Some(self.build_sparse_state(ckt, t, h, method, dc, opts, x, states)?);
-                }
-            }
-            BackendKind::Bbd => {
-                let built = if dc {
-                    ws.bbd_dc.is_some()
-                } else {
-                    ws.bbd_tr.is_some()
-                };
-                if !built {
-                    let plan = opts.block_plan.as_deref().ok_or_else(|| {
-                        CktError::Netlist("bbd backend requires a block plan".into())
-                    })?;
-                    let state =
-                        self.build_bbd_state(ckt, t, h, method, dc, opts, plan, x, states)?;
-                    if dc {
-                        ws.bbd_dc = Some(state);
-                    } else {
-                        ws.bbd_tr = Some(state);
-                    }
-                }
-            }
-            BackendKind::Dense => {
-                if ws.dense.is_none() {
-                    ws.dense = Some(DenseState {
-                        jac: Matrix::zeros(n, n),
-                        lu: LuWorkspace::new(n),
-                    });
-                }
-            }
-        }
         let NewtonWorkspace {
             res,
             dx,
-            dense,
             sparse_dc,
             sparse_tr,
             bbd_dc,
@@ -654,8 +589,31 @@ impl Assembly {
             factor_key,
             ..
         } = ws;
-        let sparse = if dc { sparse_dc } else { sparse_tr };
-        let bbd = if dc { bbd_dc } else { bbd_tr };
+        // Lazy one-time backend setup; every later call reuses it.
+        let (a, slots, mut lu) = match kind {
+            BackendKind::Sparse => {
+                let slot = if dc { sparse_dc } else { sparse_tr };
+                let st = match slot {
+                    Some(st) => st,
+                    None => slot
+                        .insert(self.build_sparse_state(ckt, t, h, method, dc, opts, x, states)?),
+                };
+                (&mut st.a, st.slots.as_slice(), ActiveLu::Sparse(&mut st.lu))
+            }
+            BackendKind::Bbd => {
+                let plan = opts.block_plan.as_deref().ok_or_else(|| {
+                    CktError::Netlist("bbd backend requires a block plan in SolverOptions".into())
+                })?;
+                let slot = if dc { bbd_dc } else { bbd_tr };
+                let st = match slot {
+                    Some(st) => st,
+                    None => slot.insert(
+                        self.build_bbd_state(ckt, t, h, method, dc, opts, plan, x, states)?,
+                    ),
+                };
+                (&mut st.a, st.slots.as_slice(), ActiveLu::Bbd(&mut st.lu))
+            }
+        };
 
         // Device bypass: per-element operating-point cache, built lazily
         // on the first bypass-enabled transient solve and rebuilt if the
@@ -701,59 +659,53 @@ impl Assembly {
         let mut prev_res = f64::INFINITY;
         let mut factors: usize = 0;
         let mut reuses: usize = 0;
-        for it in 0..opts.max_newton {
-            // Is the stored factorization valid for this configuration?
-            let stored_ok = *factor_key == Some(key)
-                && match kind {
-                    BackendKind::Sparse => sparse.as_ref().is_some_and(|sp| sp.lu.is_factored()),
-                    BackendKind::Bbd => bbd.as_ref().is_some_and(|st| st.lu.is_factored()),
-                    BackendKind::Dense => dense.as_ref().is_some_and(|dn| dn.lu.is_factored()),
-                };
-            // Fast path: residual-only stamp (Jacobian adds discarded by
-            // the Null target), accepted only while the residual keeps
-            // contracting under the stale factors.
-            let mut fast_norms: Option<(f64, f64)> = None;
-            if !exact_only && stored_ok {
-                res.fill(0.0);
-                let mut sys = Sys {
-                    jac: JacTarget::Null,
-                    res,
-                    n_nodes: self.n_nodes,
-                };
-                self.stamp_sys(ckt, t, h, method, dc, opts.gmin, x, states, &mut sys, bank);
-                let k = norm_inf(&res[..nv]);
-                let b = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
-                let cur = k.max(b);
-                if cur.is_finite() && cur <= 0.5 * prev_res {
-                    prev_res = cur;
-                    fast_norms = Some((k, b));
-                } else {
-                    // Convergence stalled under the stale Jacobian (the
-                    // operating point moved too far, or the circuit
-                    // changed behind the key — e.g. a switch toggled).
-                    // Exact Newton for the rest of this solve; the full
-                    // stamp below overwrites the residual.
-                    exact_only = true;
-                }
-            }
-            let fast = fast_norms.is_some();
-            let (res_kcl, res_branch) = match fast_norms {
-                Some(norms) => norms,
-                None => {
-                    // Exact iteration: assemble into the active
-                    // backend's Jacobian storage. The sparse and BBD
-                    // backends stamp the same global CSR shape.
-                    let csr: Option<(&mut CsrMatrix, &[usize])> = match kind {
-                        BackendKind::Sparse => {
-                            sparse.as_mut().map(|sp| (&mut sp.a, sp.slots.as_slice()))
-                        }
-                        BackendKind::Bbd => bbd.as_mut().map(|st| (&mut st.a, st.slots.as_slice())),
-                        BackendKind::Dense => None,
+        // Iterations run so far and the KCL residual norm of the last
+        // one, for the telemetry tail.
+        let mut iters: usize = 0;
+        let mut last_kcl = 0.0;
+        // Every exit from the iteration, success or error, leaves this
+        // block through `break 'solve`, so one tail below records it.
+        let outcome: Result<(), CktError> = 'solve: {
+            for it in 0..opts.max_newton {
+                iters = it + 1;
+                // Is the stored factorization valid for this configuration?
+                let stored_ok = *factor_key == Some(key) && lu.is_factored();
+                // Fast path: residual-only stamp (Jacobian adds discarded
+                // by the Null target), accepted only while the residual
+                // keeps contracting under the stale factors.
+                let mut fast_norms: Option<(f64, f64)> = None;
+                if !exact_only && stored_ok {
+                    res.fill(0.0);
+                    let mut sys = Sys {
+                        jac: JacTarget::Null,
+                        res,
+                        n_nodes: self.n_nodes,
                     };
-                    if let Some((a, slots)) = csr {
+                    self.stamp_sys(ckt, t, h, method, dc, opts.gmin, x, states, &mut sys, bank);
+                    let k = norm_inf(&res[..nv]);
+                    let b = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
+                    let cur = k.max(b);
+                    if cur.is_finite() && cur <= 0.5 * prev_res {
+                        prev_res = cur;
+                        fast_norms = Some((k, b));
+                    } else {
+                        // Convergence stalled under the stale Jacobian
+                        // (the operating point moved too far, or the
+                        // circuit changed behind the key — e.g. a switch
+                        // toggled). Exact Newton for the rest of this
+                        // solve; the full stamp below overwrites the
+                        // residual.
+                        exact_only = true;
+                    }
+                }
+                let fast = fast_norms.is_some();
+                let (res_kcl, res_branch) = match fast_norms {
+                    Some(norms) => norms,
+                    None => {
+                        // Exact iteration: assemble into the global CSR
+                        // Jacobian both backends stamp.
                         a.clear();
                         res.fill(0.0);
-                        let n_slots = slots.len();
                         let mut sys = Sys {
                             jac: JacTarget::Sparse {
                                 values: a.values_mut(),
@@ -764,183 +716,112 @@ impl Assembly {
                             n_nodes: self.n_nodes,
                         };
                         self.stamp_sys(ckt, t, h, method, dc, opts.gmin, x, states, &mut sys, bank);
-                        if sys.sparse_cursor() != Some(n_slots) {
-                            return Err(CktError::Netlist(
+                        if sys.sparse_cursor() != Some(slots.len()) {
+                            break 'solve Err(CktError::Netlist(
                                 "stamp sequence diverged from the cached sparse pattern".into(),
                             ));
                         }
-                    } else if let Some(dn) = dense.as_mut() {
-                        dn.jac.clear();
-                        res.fill(0.0);
-                        let mut sys = Sys::dense(&mut dn.jac, res, self.n_nodes);
-                        self.stamp_sys(ckt, t, h, method, dc, opts.gmin, x, states, &mut sys, bank);
+                        let k = norm_inf(&res[..nv]);
+                        let b = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
+                        let cur = k.max(b);
+                        if cur.is_finite() {
+                            prev_res = cur;
+                        }
+                        (k, b)
                     }
-                    let k = norm_inf(&res[..nv]);
-                    let b = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
-                    let cur = k.max(b);
-                    if cur.is_finite() {
-                        prev_res = cur;
-                    }
-                    (k, b)
-                }
-            };
-            // dx = -res, then solve. Fast path: permuted triangular
-            // solves against the stored factors only — no stamp of the
-            // Jacobian, no elimination. Exact dense path: fused in-place
-            // elimination — the stamped Jacobian's buffer is swapped
-            // into the LU workspace (no n x n copy) and eliminated with
-            // dx carried as an augmented column, so each matrix row is
-            // visited once while cache-hot; `jac` gets the previous
-            // factorization's buffer back, which the next stamp
-            // re-zeroes before use. Exact sparse path: numeric
-            // refactorization over the cached pattern, then permuted
-            // triangular solves.
-            for (d, r) in dx.iter_mut().zip(res.iter()) {
-                *d = -*r;
-            }
-            let solved = if fast {
-                reuses += 1;
-                match kind {
-                    BackendKind::Sparse => match sparse.as_mut() {
-                        Some(sp) => sp.lu.solve_in_place(dx),
-                        // `stored_ok` proved the backend state exists.
-                        None => {
-                            return Err(CktError::Netlist("newton workspace has no backend".into()))
-                        }
-                    },
-                    BackendKind::Bbd => match bbd.as_mut() {
-                        Some(st) => st.lu.solve_in_place(dx),
-                        None => {
-                            return Err(CktError::Netlist("newton workspace has no backend".into()))
-                        }
-                    },
-                    BackendKind::Dense => match dense.as_mut() {
-                        Some(dn) => dn.lu.solve_into(dx),
-                        None => {
-                            return Err(CktError::Netlist("newton workspace has no backend".into()))
-                        }
-                    },
-                }
-            } else {
-                // The stored factors are about to be overwritten; clear
-                // the key first so a factorization error cannot leave a
-                // stale key pointing at garbage.
-                *factor_key = None;
-                let r = match kind {
-                    BackendKind::Sparse => match sparse.as_mut() {
-                        Some(sp) => sp.lu.factor_solve_in_place(&sp.a, dx),
-                        None => {
-                            return Err(CktError::Netlist("newton workspace has no backend".into()))
-                        }
-                    },
-                    BackendKind::Bbd => match bbd.as_mut() {
-                        Some(st) => st.lu.factor_solve_in_place(&st.a, dx),
-                        None => {
-                            return Err(CktError::Netlist("newton workspace has no backend".into()))
-                        }
-                    },
-                    // One of the setup branches always built its state.
-                    BackendKind::Dense => match dense.as_mut() {
-                        Some(dn) => dn.lu.factor_solve_in_place(&mut dn.jac, dx),
-                        None => {
-                            return Err(CktError::Netlist("newton workspace has no backend".into()))
-                        }
-                    },
                 };
-                if r.is_ok() {
-                    factors += 1;
-                    *factor_key = Some(key);
-                    if let Some((_, tr)) = opts.instr.profile() {
-                        let backend = match kind {
-                            BackendKind::Dense => 0,
-                            BackendKind::Sparse => 1,
-                            BackendKind::Bbd => 2,
-                        };
-                        tr.instant(TraceEvent::Factor, backend);
-                    }
+                last_kcl = res_kcl;
+                // dx = -res, then solve. Fast path: permuted triangular
+                // solves against the stored factors only — no stamp of
+                // the Jacobian, no elimination. Exact path: numeric
+                // refactorization over the cached pattern, then permuted
+                // triangular solves.
+                for (d, r) in dx.iter_mut().zip(res.iter()) {
+                    *d = -*r;
                 }
-                r
-            };
-            if let Err(e) = solved {
-                return Err(CktError::Convergence {
-                    time: t,
-                    // fefet-lint: allow(hot-alloc) -- cold error path: the iteration is already abandoned
-                    detail: format!("jacobian factorization failed: {e}"),
-                });
-            }
-            // Damp on the node-voltage part of the update; pure-branch
-            // systems (nv == 0) have no voltage to bound, so the damping
-            // (a voltage limit) does not apply to them.
-            let dv_max = if nv > 0 { norm_inf(&dx[..nv]) } else { 0.0 };
-            last_damping = 1.0;
-            if nv > 0 && dv_max > opts.max_v_step {
-                let s = opts.max_v_step / dv_max;
-                last_damping = s;
-                // Branch currents are linear consequences of the node
-                // voltages; scale them the same way to stay consistent
-                // within the iteration.
-                for d in dx.iter_mut() {
-                    *d *= s;
-                }
-            }
-            for (xi, di) in x.iter_mut().zip(dx.iter()) {
-                *xi += di;
-            }
-            if x.iter().any(|v| !v.is_finite()) {
-                return Err(CktError::NonFinite {
-                    context: "newton update",
-                    step: t,
-                });
-            }
-            let dv = if nv > 0 { norm_inf(&dx[..nv]) } else { 0.0 };
-            if newton_accepted(opts, dv, res_kcl, res_branch) {
-                // Per-solve telemetry: relaxed atomics only, nothing
-                // allocated, so the warm-path zero-allocation invariant
-                // holds with instrumentation on as well as off.
-                if let Some(tel) = opts.instr.get() {
-                    let iters = it + 1;
-                    tel.solver.solves.inc();
-                    tel.solver.newton_iterations.record(iters as f64);
-                    tel.solver.residual_at_convergence.record(res_kcl);
-                    tel.solver.factors_per_solve.record(factors as f64);
-                    // Fresh factorizations on whichever backend ran (a
-                    // fully reused solve records zero); one
-                    // back-substitution per iteration on either path.
-                    match kind {
-                        BackendKind::Sparse => {
-                            tel.solver.sparse_refactors.add(factors as u64);
-                        }
-                        BackendKind::Bbd => {
-                            tel.solver.bbd_refactors.add(factors as u64);
-                            if let Some(st) = bbd.as_ref() {
-                                // Two triangular solves per block per
-                                // iteration (forward + back).
-                                tel.solver
-                                    .bbd_block_solves
-                                    .add(2 * (iters as u64) * st.lu.block_count() as u64);
-                            }
-                        }
-                        BackendKind::Dense => {
-                            tel.solver.dense_factors.add(factors as u64);
+                let solved = if fast {
+                    reuses += 1;
+                    lu.solve_in_place(dx)
+                } else {
+                    // The stored factors are about to be overwritten;
+                    // clear the key first so a factorization error cannot
+                    // leave a stale key pointing at garbage.
+                    *factor_key = None;
+                    let r = lu.factor_solve_in_place(a, dx);
+                    if r.is_ok() {
+                        factors += 1;
+                        *factor_key = Some(key);
+                        if let Some((_, tr)) = opts.instr.profile() {
+                            tr.instant(TraceEvent::Factor, kind as u64);
                         }
                     }
-                    tel.solver.back_substitutions.add(iters as u64);
-                    tel.solver.jacobian_reuses.add(reuses as u64);
-                    if let Some((b, _)) = bank {
-                        let (bh, bm) = b.take_counts();
-                        tel.solver.bypass_hits.add(bh);
-                        tel.solver.bypass_misses.add(bm);
+                    r
+                };
+                if let Err(e) = solved {
+                    break 'solve Err(CktError::Convergence {
+                        time: t,
+                        // fefet-lint: allow(hot-alloc) -- cold error path: the iteration is already abandoned
+                        detail: format!("jacobian factorization failed: {e}"),
+                    });
+                }
+                // Damp on the node-voltage part of the update; pure-branch
+                // systems (nv == 0) have no voltage to bound, so the
+                // damping (a voltage limit) does not apply to them.
+                let dv_max = if nv > 0 { norm_inf(&dx[..nv]) } else { 0.0 };
+                last_damping = 1.0;
+                if nv > 0 && dv_max > opts.max_v_step {
+                    let s = opts.max_v_step / dv_max;
+                    last_damping = s;
+                    // Branch currents are linear consequences of the node
+                    // voltages; scale them the same way to stay
+                    // consistent within the iteration.
+                    for d in dx.iter_mut() {
+                        *d *= s;
                     }
                 }
-                opts.instr
-                    .profile_end(prof_t0, TraceEvent::NewtonSolve, (it + 1) as u64);
-                return Ok(it + 1);
+                for (xi, di) in x.iter_mut().zip(dx.iter()) {
+                    *xi += di;
+                }
+                if x.iter().any(|v| !v.is_finite()) {
+                    break 'solve Err(CktError::NonFinite {
+                        context: "newton update",
+                        step: t,
+                    });
+                }
+                let dv = if nv > 0 { norm_inf(&dx[..nv]) } else { 0.0 };
+                if newton_accepted(opts, dv, res_kcl, res_branch) {
+                    break 'solve Ok(());
+                }
             }
-        }
-        opts.instr
-            .profile_end(prof_t0, TraceEvent::NewtonSolve, opts.max_newton as u64);
+            Err(self.exhausted(ckt, t, opts, res, last_damping))
+        };
+        // Per-solve telemetry: relaxed atomics only, nothing allocated,
+        // so the warm-path zero-allocation invariant holds with
+        // instrumentation on as well as off.
         if let Some(tel) = opts.instr.get() {
-            tel.solver.failures.inc();
+            if outcome.is_ok() {
+                tel.solver.solves.inc();
+                tel.solver.newton_iterations.record(iters as f64);
+                tel.solver.residual_at_convergence.record(last_kcl);
+                tel.solver.factors_per_solve.record(factors as f64);
+                // Fresh factorizations on whichever backend ran (a fully
+                // reused solve records zero); one back-substitution per
+                // iteration on either path.
+                match &lu {
+                    ActiveLu::Sparse(_) => tel.solver.sparse_refactors.add(factors as u64),
+                    ActiveLu::Bbd(bbd) => {
+                        tel.solver.bbd_refactors.add(factors as u64);
+                        // Two triangular solves per block per iteration
+                        // (forward + back).
+                        tel.solver
+                            .bbd_block_solves
+                            .add(2 * (iters as u64) * bbd.block_count() as u64);
+                    }
+                }
+                tel.solver.back_substitutions.add(iters as u64);
+            } else {
+                tel.solver.failures.inc();
+            }
             tel.solver.jacobian_reuses.add(reuses as u64);
             if let Some((b, _)) = bank {
                 let (bh, bm) = b.take_counts();
@@ -948,10 +829,24 @@ impl Assembly {
                 tel.solver.bypass_misses.add(bm);
             }
         }
-        // Failure path: allocate freely to explain *where* the solve
-        // diverged. `res` still holds the residual stamped on the last
-        // iteration; its KCL span names the worst node.
-        let kcl = if nv > 0 { &res[..nv] } else { &res[..] };
+        opts.instr
+            .profile_end(prof_t0, TraceEvent::NewtonSolve, iters as u64);
+        outcome.map(|()| iters)
+    }
+
+    /// The budget-exhaustion error: allocates freely to explain *where*
+    /// the solve diverged. `res` still holds the residual stamped on the
+    /// last iteration; its KCL span names the worst node.
+    fn exhausted(
+        &self,
+        ckt: &Circuit,
+        t: f64,
+        opts: &SolverOptions,
+        res: &[f64],
+        last_damping: f64,
+    ) -> CktError {
+        let nv = self.n_nodes - 1;
+        let kcl = if nv > 0 { &res[..nv] } else { res };
         let mut worst_node = 0usize;
         let mut worst_residual = 0.0f64;
         for (i, r) in kcl.iter().enumerate() {
@@ -965,7 +860,7 @@ impl Assembly {
         } else {
             String::new()
         };
-        Err(CktError::NewtonExhausted {
+        CktError::NewtonExhausted {
             time: t,
             report: ConvergenceReport {
                 iterations: opts.max_newton,
@@ -977,7 +872,7 @@ impl Assembly {
                 // fefet-lint: allow(hot-alloc) -- cold error path: empty placeholder in the exhaustion report
                 gmin_trajectory: Vec::new(),
             },
-        })
+        }
     }
 }
 
@@ -985,6 +880,7 @@ impl Assembly {
 mod tests {
     use super::*;
     use crate::waveform::Waveform;
+    use fefet_numerics::linalg::{LuWorkspace, Matrix};
 
     #[test]
     fn assembly_counts_branches() {
@@ -1000,11 +896,39 @@ mod tests {
         assert_eq!(asm.n_unknowns(), 2 + 2);
     }
 
-    /// Reference Newton loop in the seed's allocating style: fresh
-    /// Jacobian/residual/negated-residual vectors and an owning
-    /// [`LuFactors::factor`] every iteration. Mirrors the arithmetic of
-    /// [`Assembly::solve_point_with`] operation for operation so the two
-    /// must agree bit for bit.
+    /// Assembles residual and Jacobian at iterate `x` into a dense
+    /// matrix at time `t` (s) with step `h` (s) and diagonal leak `gmin`
+    /// (S) — the same stamp pass the engine runs, on the dense target.
+    #[allow(clippy::too_many_arguments)]
+    fn stamp_all(
+        asm: &Assembly,
+        ckt: &Circuit,
+        t: f64,
+        h: f64,
+        method: Integration,
+        dc: bool,
+        gmin: f64,
+        x: &[f64],
+        states: &[ElemState],
+        jac: &mut Matrix,
+        res: &mut [f64],
+    ) {
+        jac.clear();
+        res.fill(0.0);
+        let mut sys = Sys {
+            jac: JacTarget::Dense(jac),
+            res,
+            n_nodes: asm.n_nodes,
+        };
+        asm.stamp_sys(ckt, t, h, method, dc, gmin, x, states, &mut sys, None);
+    }
+
+    /// Dense reference Newton loop: a fresh dense Jacobian, residual and
+    /// [`LuWorkspace`] factorization every iteration, no Jacobian reuse
+    /// and no device bypass. Mirrors the damping and acceptance test of
+    /// [`Assembly::solve_point_with`], so an exact-Newton engine solve
+    /// must take the same iterations and land within factorization
+    /// roundoff. Returns the solution and the iteration count.
     #[allow(clippy::too_many_arguments)]
     fn solve_point_allocating(
         asm: &Assembly,
@@ -1016,25 +940,25 @@ mod tests {
         opts: &SolverOptions,
         x0: &[f64],
         states: &[ElemState],
-    ) -> Result<Vec<f64>, CktError> {
-        use fefet_numerics::linalg::LuFactors;
+    ) -> Result<(Vec<f64>, usize), CktError> {
         let n = asm.n_unknowns();
         let nv = asm.n_nodes - 1;
         let mut x = x0.to_vec();
-        for _it in 0..opts.max_newton {
+        for it in 0..opts.max_newton {
             let mut jac = Matrix::zeros(n, n);
             let mut res = vec![0.0; n];
-            asm.stamp_all(
-                ckt, t, h, method, dc, opts.gmin, &x, states, &mut jac, &mut res,
+            stamp_all(
+                asm, ckt, t, h, method, dc, opts.gmin, &x, states, &mut jac, &mut res,
             );
             let res_kcl = norm_inf(&res[..nv]);
             let res_branch = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
-            let lu = LuFactors::factor(jac.clone()).map_err(|e| CktError::Convergence {
+            let mut lu = LuWorkspace::new(n);
+            lu.factor(&jac).map_err(|e| CktError::Convergence {
                 time: t,
                 detail: format!("jacobian factorization failed: {e}"),
             })?;
-            let neg: Vec<f64> = res.iter().map(|r| -r).collect();
-            let mut dx = lu.solve(&neg).map_err(CktError::from)?;
+            let mut dx: Vec<f64> = res.iter().map(|r| -r).collect();
+            lu.solve_into(&mut dx).map_err(CktError::from)?;
             let dv_max = if nv > 0 { norm_inf(&dx[..nv]) } else { 0.0 };
             if nv > 0 && dv_max > opts.max_v_step {
                 let s = opts.max_v_step / dv_max;
@@ -1047,7 +971,7 @@ mod tests {
             }
             let dv = if nv > 0 { norm_inf(&dx[..nv]) } else { 0.0 };
             if newton_accepted(opts, dv, res_kcl, res_branch) {
-                return Ok(x);
+                return Ok((x, it + 1));
             }
         }
         Err(CktError::Convergence {
@@ -1056,172 +980,131 @@ mod tests {
         })
     }
 
-    /// The workspace path must reproduce the seed's allocating Newton
-    /// loop bit for bit: same pivots, same arithmetic order, so the
-    /// converged unknown vectors match exactly, not just to tolerance.
-    #[test]
-    fn workspace_newton_is_bit_identical_to_allocating_reference() {
-        use crate::models::MosParams;
-
+    /// The FEFET array's 1×1 read netlist, rebuilt from engine-level
+    /// primitives (the array builder lives downstream, in `fefet-mem`):
+    /// read/write-select row drivers, the bit-line driver and clamped
+    /// sense line, and the cell's access transistor, FE capacitor and
+    /// FEFET. 9 nodes plus 4 voltage-source branch rows = 13 unknowns.
+    fn one_cell_read_circuit() -> Circuit {
+        use crate::models::{FeCapParams, MosParams};
         let mut c = Circuit::new();
-        let vdd = c.node("vdd");
-        let d = c.node("d");
-        let g = c.node("g");
-        c.vsource("VDD", vdd, Circuit::GND, Waveform::dc(1.0));
-        c.vsource("VG", g, Circuit::GND, Waveform::dc(0.6));
-        c.resistor("RD", vdd, d, 50e3);
-        c.mosfet("M1", d, g, Circuit::GND, MosParams::nmos_45nm());
-        c.capacitor("CL", d, Circuit::GND, 1e-15);
-
-        let asm = Assembly::new(&c);
-        let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
-        // The reference refactors every iteration; force the exact path
-        // so the trajectories are comparable bit for bit.
-        let opts = SolverOptions {
-            jacobian_reuse: false,
-            bypass: false,
-            ..SolverOptions::default()
-        };
-        let x0 = vec![0.0; asm.n_unknowns()];
-
-        let reference = solve_point_allocating(
-            &asm,
-            &c,
-            0.0,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            &opts,
-            &x0,
-            &states,
-        )
-        .unwrap();
-
-        let mut x = x0.clone();
-        let mut ws = NewtonWorkspace::new(asm.n_unknowns());
-        asm.solve_point_with(
-            &c,
-            0.0,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            &opts,
-            &mut x,
-            &states,
-            &mut ws,
-        )
-        .unwrap();
-
-        assert_eq!(reference.len(), x.len());
-        for (i, (a, b)) in reference.iter().zip(&x).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "unknown {i} differs: reference {a:?} vs workspace {b:?}"
-            );
-        }
+        let rs = c.node("rs0");
+        let ws = c.node("ws0");
+        let rsd = c.node("rs0_drv");
+        let wsd = c.node("ws0_drv");
+        c.vsource("Vrs0", rsd, Circuit::GND, Waveform::dc(0.4));
+        c.resistor("Rrs0", rsd, rs, 1e3);
+        c.vsource("Vws0", wsd, Circuit::GND, Waveform::dc(1.0));
+        c.resistor("Rws0", wsd, ws, 1e3);
+        c.capacitor("Crs0", rs, Circuit::GND, 1e-16);
+        c.capacitor("Cws0", ws, Circuit::GND, 1e-16);
+        let bl = c.node("bl0");
+        let sl = c.node("sl0");
+        let bld = c.node("bl0_drv");
+        c.vsource("Vbl0", bld, Circuit::GND, Waveform::dc(0.0));
+        c.resistor("Rbl0", bld, bl, 1e3);
+        c.vsource("Vsl0", sl, Circuit::GND, Waveform::dc(0.0));
+        c.capacitor("Cbl0", bl, Circuit::GND, 1e-16);
+        c.capacitor("Csl0", sl, Circuit::GND, 1e-16);
+        let g = c.node("g0_0");
+        let gi = c.node("gi0_0");
+        c.mosfet("Macc0_0", bl, ws, g, MosParams::nmos_45nm());
+        c.fecap("Ffe0_0", g, gi, FeCapParams::new(2.25e-9, 1e-15), 0.3);
+        c.mosfet("Mfet0_0", rs, gi, sl, MosParams::nmos_45nm_fefet_base());
+        c
     }
 
-    /// The sparse backend must track the dense one: same Newton
-    /// iteration count (both backends see the same Jacobian, only
-    /// factored differently) and solutions matching to tight tolerance
-    /// on a nonlinear MOSFET circuit, in both DC and transient stamping
-    /// modes. Exercises the full pattern-record → slot-resolve →
+    /// `Auto` runs the sparse LU at every size below the BBD crossover,
+    /// and it must track the dense reference loop: same Newton
+    /// iteration count (both see the same Jacobian, only factored
+    /// differently) and solutions matching to tight tolerance, in both
+    /// DC and transient stamping modes, on a nonlinear MOSFET stage and
+    /// on the array's 1×1 read circuit with its voltage-source branch
+    /// rows. Exercises the full pattern-record → slot-resolve →
     /// slot-indexed-stamp → refactor → solve pipeline.
     #[test]
     fn sparse_backend_matches_dense_newton() {
-        use crate::models::MosParams;
-
-        let mut c = Circuit::new();
-        let vdd = c.node("vdd");
-        let d = c.node("d");
-        let g = c.node("g");
-        c.vsource("VDD", vdd, Circuit::GND, Waveform::dc(1.0));
-        c.vsource("VG", g, Circuit::GND, Waveform::dc(0.6));
-        c.resistor("RD", vdd, d, 50e3);
-        c.mosfet("M1", d, g, Circuit::GND, MosParams::nmos_45nm());
-        c.capacitor("CL", d, Circuit::GND, 1e-15);
-
-        let asm = Assembly::new(&c);
-        let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
-        let n = asm.n_unknowns();
-
-        for (dc, t, h) in [(true, 0.0, 0.0), (false, 1e-9, 1e-9)] {
-            // Equal iteration counts require both backends to run exact
-            // Newton: the fast paths change the trajectory (legally).
-            let dense_opts = SolverOptions {
-                backend: SolverBackend::Dense,
-                jacobian_reuse: false,
-                bypass: false,
-                ..SolverOptions::default()
-            };
-            let sparse_opts = SolverOptions {
-                backend: SolverBackend::Sparse,
-                jacobian_reuse: false,
-                bypass: false,
-                ..SolverOptions::default()
-            };
-            let mut xd = vec![0.0; n];
-            let mut ws_d = NewtonWorkspace::new(n);
-            let it_d = asm
-                .solve_point_with(
-                    &c,
-                    t,
-                    h,
-                    Integration::BackwardEuler,
-                    dc,
-                    &dense_opts,
-                    &mut xd,
-                    &states,
-                    &mut ws_d,
-                )
-                .unwrap();
-            let mut xs = vec![0.0; n];
-            let mut ws_s = NewtonWorkspace::new(n);
-            let it_s = asm
-                .solve_point_with(
-                    &c,
-                    t,
-                    h,
-                    Integration::BackwardEuler,
-                    dc,
-                    &sparse_opts,
-                    &mut xs,
-                    &states,
-                    &mut ws_s,
-                )
-                .unwrap();
-            assert_eq!(it_d, it_s, "newton iteration counts diverged (dc={dc})");
-            for i in 0..n {
-                let scale = xd[i].abs().max(1.0);
-                assert!(
-                    (xs[i] - xd[i]).abs() <= 1e-9 * scale,
-                    "dc={dc} unknown {i}: sparse {} vs dense {}",
-                    xs[i],
-                    xd[i]
-                );
+        let circuits = [
+            ("mos stage", mos_test_circuit().0),
+            ("1x1 read", one_cell_read_circuit()),
+        ];
+        for (name, c) in circuits {
+            let asm = Assembly::new(&c);
+            let n = asm.n_unknowns();
+            let x0 = vec![0.0; n];
+            let states: Vec<ElemState> = c
+                .elements()
+                .iter()
+                .map(|(_, e)| e.initial_state(&x0))
+                .collect();
+            if name == "1x1 read" {
+                assert_eq!(n, 13, "{name}: 9 nodes + 4 source branches");
             }
-            assert!(ws_s.sparse_nnz(dc).is_some());
-            assert!(ws_s.sparse_nnz(!dc).is_none());
+            for (dc, t, h) in [(true, 0.0, 0.0), (false, 1e-9, 1e-9)] {
+                // Equal iteration counts require exact Newton: the fast
+                // paths change the trajectory (legally).
+                let opts = SolverOptions {
+                    jacobian_reuse: false,
+                    bypass: false,
+                    ..SolverOptions::default()
+                };
+                let (xd, it_d) = solve_point_allocating(
+                    &asm,
+                    &c,
+                    t,
+                    h,
+                    Integration::BackwardEuler,
+                    dc,
+                    &opts,
+                    &x0,
+                    &states,
+                )
+                .unwrap();
+                let mut xs = x0.clone();
+                let mut ws = NewtonWorkspace::new(n);
+                let it_s = asm
+                    .solve_point_with(
+                        &c,
+                        t,
+                        h,
+                        Integration::BackwardEuler,
+                        dc,
+                        &opts,
+                        &mut xs,
+                        &states,
+                        &mut ws,
+                    )
+                    .unwrap();
+                assert_eq!(
+                    it_d, it_s,
+                    "{name} dc={dc}: newton iteration counts diverged"
+                );
+                for i in 0..n {
+                    let scale = xd[i].abs().max(1.0);
+                    assert!(
+                        (xs[i] - xd[i]).abs() <= 1e-9 * scale,
+                        "{name} dc={dc} unknown {i}: sparse {} vs dense {}",
+                        xs[i],
+                        xd[i]
+                    );
+                }
+                assert!(ws.sparse_nnz(dc).is_some(), "{name}: auto must run sparse");
+                assert!(ws.sparse_nnz(!dc).is_none());
+            }
         }
     }
 
-    /// `Auto` resolves by system order: small systems stay dense (the
-    /// workspace never builds sparse state), large ones go sparse.
+    /// `Auto` has no dense tier: even a two-resistor divider builds
+    /// sparse state.
     #[test]
-    fn auto_backend_selects_by_size() {
+    fn auto_backend_builds_sparse_state_for_tiny_circuits() {
         let mut c = Circuit::new();
-        let a = c.node("a");
-        c.vsource("V1", a, Circuit::GND, Waveform::dc(1.0));
-        let mut prev = a;
-        for i in 0..(SPARSE_CROSSOVER + 4) {
-            let nn = c.node(&format!("n{i}"));
-            c.resistor(&format!("R{i}"), prev, nn, 1e3);
-            prev = nn;
-        }
-        c.resistor("Rend", prev, Circuit::GND, 1e3);
+        let b = c.node("b");
+        let m = c.node("m");
+        c.vsource("V1", b, Circuit::GND, Waveform::dc(1.0));
+        c.resistor("R1", b, m, 1e3);
+        c.resistor("R2", m, Circuit::GND, 1e3);
         let asm = Assembly::new(&c);
-        assert!(asm.n_unknowns() >= SPARSE_CROSSOVER);
         let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
         let mut x = vec![0.0; asm.n_unknowns()];
         let mut ws = NewtonWorkspace::new(asm.n_unknowns());
@@ -1237,35 +1120,49 @@ mod tests {
             &mut ws,
         )
         .unwrap();
-        assert!(
-            ws.sparse_nnz(true).is_some(),
-            "auto should have picked sparse at this size"
-        );
+        assert!(ws.sparse_nnz(true).is_some());
+    }
 
-        // A two-resistor divider stays dense under Auto.
-        let mut c2 = Circuit::new();
-        let b = c2.node("b");
-        let m = c2.node("m");
-        c2.vsource("V1", b, Circuit::GND, Waveform::dc(1.0));
-        c2.resistor("R1", b, m, 1e3);
-        c2.resistor("R2", m, Circuit::GND, 1e3);
-        let asm2 = Assembly::new(&c2);
-        let states2: Vec<ElemState> = c2.elements().iter().map(|_| ElemState::None).collect();
-        let mut x2 = vec![0.0; asm2.n_unknowns()];
-        let mut ws2 = NewtonWorkspace::new(asm2.n_unknowns());
-        asm2.solve_point_with(
-            &c2,
+    /// A failed solve is recorded like a converged one: a numerically
+    /// singular Jacobian (gmin off, a node reached only through a
+    /// capacitor, which is open in DC) raises `failures` by exactly one
+    /// and, when profiled, adds one `solve_ns` sample.
+    #[test]
+    fn singular_solve_is_counted_as_a_failure() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let f = c.node("f");
+        c.vsource("V1", a, Circuit::GND, Waveform::dc(1.0));
+        c.resistor("R1", a, Circuit::GND, 1e3);
+        c.capacitor("C1", a, f, 1e-12);
+        let asm = Assembly::new(&c);
+        let states: Vec<ElemState> = c.elements().iter().map(|_| ElemState::None).collect();
+        let instr = Instrumentation::enabled();
+        let tr = instr.get().unwrap().attach_trace(1 << 10);
+        let opts = SolverOptions {
+            gmin: 0.0,
+            instr: instr.clone(),
+            ..SolverOptions::default()
+        };
+        let mut x = vec![0.0; asm.n_unknowns()];
+        let mut ws = NewtonWorkspace::new(asm.n_unknowns());
+        let r = asm.solve_point_with(
+            &c,
             0.0,
             0.0,
             Integration::BackwardEuler,
             true,
-            &SolverOptions::default(),
-            &mut x2,
-            &states2,
-            &mut ws2,
-        )
-        .unwrap();
-        assert!(ws2.sparse_nnz(true).is_none());
+            &opts,
+            &mut x,
+            &states,
+            &mut ws,
+        );
+        assert!(matches!(r, Err(CktError::Convergence { .. })), "{r:?}");
+        let tel = instr.get().unwrap();
+        assert_eq!(tel.solver.failures.get(), 1);
+        assert_eq!(tel.solver.solves.get(), 0);
+        assert_eq!(tel.latency.solve_ns.count(), 1);
+        assert_eq!(tr.dropped(), 0);
     }
 
     /// A circuit of only branch unknowns (voltage source dead-ended into
@@ -1397,7 +1294,7 @@ mod tests {
             let tel = opts.instr.get().unwrap();
             (
                 x,
-                tel.solver.dense_factors.get(),
+                tel.solver.sparse_refactors.get(),
                 tel.solver.jacobian_reuses.get(),
             )
         };
@@ -1730,7 +1627,7 @@ mod tests {
         )
         .unwrap();
         let tel = opts.instr.get().unwrap();
-        let factors_before = tel.solver.dense_factors.get();
+        let factors_before = tel.solver.sparse_refactors.get();
         assert!(factors_before > 0);
         asm.solve_point_with(
             &c,
@@ -1745,7 +1642,7 @@ mod tests {
         )
         .unwrap();
         assert!(
-            tel.solver.dense_factors.get() > factors_before,
+            tel.solver.sparse_refactors.get() > factors_before,
             "h change did not trigger a refactor"
         );
     }

@@ -80,9 +80,9 @@ pub struct FefetArray {
     /// array dimensions).
     pub cell: FefetCell,
     /// Linear-solver backend for every simulation this array runs.
-    /// `Auto` (the default) picks dense below the engine's crossover
-    /// and the pattern-cached sparse LU above it; force `Dense` or
-    /// `Sparse` for A/B comparisons.
+    /// `Auto` (the default) runs the pattern-cached sparse LU, promoted
+    /// to BBD over the array's block plan at the engine's
+    /// `BBD_CROSSOVER`; force `Sparse` or `Bbd` for A/B comparisons.
     pub solver_backend: SolverBackend,
     /// Transient fast-path switches for every simulation this array
     /// runs; defaults to all on.
@@ -859,36 +859,6 @@ mod tests {
         ] {
             let events = j.matches(&format!("\"name\":\"{name}\"")).count();
             assert_eq!(events, n, "{name} events");
-        }
-    }
-
-    /// The solver-backend knob must reach the engine, and the two
-    /// backends must tell the same physical story: same digitized bits,
-    /// same step sequence, cell currents within 1e-6 relative. (With
-    /// the fast paths on, each backend's Newton lands within solver
-    /// tolerance of the true solution rather than machine accuracy, so
-    /// the cross-backend bound is 1e-6, not 1e-9.)
-    #[test]
-    fn sparse_and_dense_backends_agree_on_a_read() {
-        let mut a = small_array();
-        a.write_row(0, &[true, false, true], 1.0e-9).unwrap();
-        let mut dense = a.clone();
-        dense.solver_backend = SolverBackend::Dense;
-        let mut sparse = a;
-        sparse.solver_backend = SolverBackend::Sparse;
-        let rd = dense.read_row(0, 3e-9).unwrap();
-        let rs = sparse.read_row(0, 3e-9).unwrap();
-        assert_eq!(rd.bits, rs.bits);
-        assert_eq!(
-            rd.op.steps, rs.op.steps,
-            "backends accepted different step sequences"
-        );
-        for (d, s) in rd.currents.iter().zip(&rs.currents) {
-            let scale = d.abs().max(s.abs()).max(1e-30);
-            assert!(
-                (d - s).abs() / scale < 1e-6,
-                "currents diverge: dense {d:e} vs sparse {s:e}"
-            );
         }
     }
 

@@ -39,8 +39,10 @@ pub struct FeramArray {
     pub cols: usize,
     /// Cell template.
     pub cell: FeramCell,
-    /// Linear-solver backend for every simulation this array runs, as
-    /// for [`crate::array::FefetArray::solver_backend`].
+    /// Linear-solver backend for every simulation this array runs:
+    /// `Auto` (the default) runs the sparse LU, promoted to BBD over the
+    /// array's block plan at the engine's `BBD_CROSSOVER`, as for
+    /// [`crate::array::FefetArray::solver_backend`].
     pub solver_backend: SolverBackend,
     /// Telemetry sink for every simulation this array runs, as for
     /// [`crate::array::FefetArray::instr`]. Off by default.

@@ -1,8 +1,10 @@
 //! Dense linear algebra: matrices, LU factorization, linear solves.
 //!
-//! The circuit simulator assembles modified-nodal-analysis (MNA) systems of
-//! at most a few hundred unknowns, so a dense LU with partial pivoting is
-//! the right tool: simple, robust, and cache-friendly at these sizes.
+//! [`LuWorkspace`] is the one dense LU with partial pivoting. It serves
+//! the small dense systems: the BBD backend's border Schur complement,
+//! the N-dimensional Newton solver in [`crate::roots`], and
+//! [`Matrix::solve`]. Circuit (MNA) Jacobians go through the sparse LU
+//! in [`crate::sparse`] at every size.
 
 use crate::{Error, Result};
 
@@ -142,11 +144,12 @@ impl Matrix {
             .fold(0.0, f64::max)
     }
 
-    /// Factors the matrix in place into `P * A = L * U` and solves `A x = b`.
+    /// Factors a copy of the matrix into `P * A = L * U` and solves
+    /// `A x = b`.
     ///
-    /// Convenience wrapper over [`LuFactors::factor`] + [`LuFactors::solve`]
-    /// for single right-hand sides. Use [`LuFactors`] directly to reuse the
-    /// factorization.
+    /// Convenience wrapper over [`LuWorkspace::factor`] +
+    /// [`LuWorkspace::solve_into`] for single right-hand sides. Use a
+    /// [`LuWorkspace`] directly to reuse the factorization.
     ///
     /// # Errors
     ///
@@ -154,8 +157,11 @@ impl Matrix {
     /// [`Error::DimensionMismatch`] if `b.len() != self.rows()` or the
     /// matrix is not square.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let lu = LuFactors::factor(self.clone())?;
-        lu.solve(b)
+        let mut lu = LuWorkspace::new(self.rows);
+        lu.factor(self)?;
+        let mut x = b.to_vec();
+        lu.solve_into(&mut x)?;
+        Ok(x)
     }
 }
 
@@ -176,30 +182,6 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-/// LU factorization with partial pivoting of a square matrix.
-///
-/// Factor once, then solve any number of right-hand sides — the pattern the
-/// transient simulator uses when the Jacobian is reused across Newton steps.
-///
-/// # Example
-///
-/// ```
-/// use fefet_numerics::linalg::{LuFactors, Matrix};
-///
-/// # fn main() -> Result<(), fefet_numerics::Error> {
-/// let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]])?; // needs pivoting
-/// let lu = LuFactors::factor(a)?;
-/// assert_eq!(lu.solve(&[3.0, 7.0])?, vec![7.0, 3.0]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct LuFactors {
-    lu: Matrix,
-    ipiv: Vec<usize>,
-    sign: f64,
-}
-
 /// Pivots smaller than this (relative to the largest entry in the column)
 /// are treated as exactly zero.
 const PIVOT_EPS: f64 = 1e-300;
@@ -208,10 +190,10 @@ const PIVOT_EPS: f64 = 1e-300;
 /// recording the row swapped into position at each step (`ipiv[k] == k`
 /// when no swap happened). Returns the permutation sign.
 ///
-/// Shared by [`LuFactors::factor`] and [`LuWorkspace::factor`], so the
-/// owning and in-place entry points produce identical factors and pivots
-/// bit for bit. The elimination works on whole-row slices so the inner
-/// loops carry no per-element bounds checks.
+/// Shared by [`LuWorkspace::factor`] and [`LuWorkspace::factor_in_place`],
+/// so the copying and buffer-swapping entry points produce identical
+/// factors and pivots bit for bit. The elimination works on whole-row
+/// slices so the inner loops carry no per-element bounds checks.
 fn eliminate_in_place(data: &mut [f64], n: usize, ipiv: &mut [usize]) -> Result<f64> {
     let mut sign = 1.0;
     for k in 0..n {
@@ -251,57 +233,6 @@ fn eliminate_in_place(data: &mut [f64], n: usize, ipiv: &mut [usize]) -> Result<
     Ok(sign)
 }
 
-/// Elimination with `b` carried as an augmented column: the same row
-/// swaps and multiplier updates are applied to `b`, so on return `b`
-/// holds the permuted, forward-substituted right-hand side. Each update
-/// `b[i] -= l_ik * b[k]` runs in ascending `k` with the same operands as
-/// pivoted forward substitution would use, so the result is bit-identical
-/// to [`substitute_in_place`]'s permute + forward pass — while touching
-/// each matrix row once, while it is already cache-hot.
-fn eliminate_with_rhs(
-    data: &mut [f64],
-    n: usize,
-    ipiv: &mut [usize],
-    b: &mut [f64],
-) -> Result<f64> {
-    let mut sign = 1.0;
-    for k in 0..n {
-        let mut p = k;
-        let mut max = 0.0;
-        for (i, row) in data[k * n..].chunks_exact(n).enumerate() {
-            let v = row[k].abs();
-            if v > max {
-                max = v;
-                p = k + i;
-            }
-        }
-        if max < PIVOT_EPS {
-            return Err(Error::Singular { column: k });
-        }
-        ipiv[k] = p;
-        if p != k {
-            let (head, tail) = data.split_at_mut(p * n);
-            head[k * n..k * n + n].swap_with_slice(&mut tail[..n]);
-            b.swap(k, p);
-            sign = -sign;
-        }
-        let pivot = data[k * n + k];
-        let (fixed, active) = data.split_at_mut((k + 1) * n);
-        let row_k = &fixed[k * n..];
-        let (b_done, b_active) = b.split_at_mut(k + 1);
-        let b_k = b_done[k];
-        for (row_i, b_i) in active.chunks_exact_mut(n).zip(b_active.iter_mut()) {
-            let factor = row_i[k] / pivot;
-            row_i[k] = factor;
-            for (aic, akc) in row_i[k + 1..n].iter_mut().zip(&row_k[k + 1..n]) {
-                *aic -= factor * akc;
-            }
-            *b_i -= factor * b_k;
-        }
-    }
-    Ok(sign)
-}
-
 /// Permutation + triangular substitution on `x` in place, using the
 /// factored storage `lu` and the recorded swap sequence `ipiv`.
 fn substitute_in_place(lu: &[f64], n: usize, ipiv: &[usize], x: &mut [f64]) {
@@ -325,12 +256,6 @@ fn substitute_in_place(lu: &[f64], n: usize, ipiv: &[usize], x: &mut [f64]) {
     // Back substitution, accumulating in ascending-j order like the
     // indexed form it replaced (the sum order is part of the result's
     // bit pattern).
-    back_substitute(lu, n, x);
-}
-
-/// Back substitution alone, for a right-hand side that has already been
-/// permuted and forward-substituted (by [`eliminate_with_rhs`]).
-fn back_substitute(lu: &[f64], n: usize, x: &mut [f64]) {
     for i in (0..n).rev() {
         let row = &lu[i * n..(i + 1) * n];
         let (head, tail) = x.split_at_mut(i + 1);
@@ -342,91 +267,13 @@ fn back_substitute(lu: &[f64], n: usize, x: &mut [f64]) {
     }
 }
 
-impl LuFactors {
-    /// Factors `a` (consumed) into `P A = L U` with partial pivoting.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::DimensionMismatch`] if `a` is not square;
-    /// [`Error::Singular`] if elimination finds a zero pivot column.
-    pub fn factor(mut a: Matrix) -> Result<Self> {
-        if a.rows != a.cols {
-            return Err(Error::DimensionMismatch {
-                found: (a.rows, a.cols),
-                expected: (a.rows, a.rows),
-            });
-        }
-        let n = a.rows;
-        let mut ipiv: Vec<usize> = (0..n).collect();
-        let sign = eliminate_in_place(&mut a.data, n, &mut ipiv)?;
-        Ok(LuFactors { lu: a, ipiv, sign })
-    }
-
-    /// Order of the factored matrix.
-    pub fn order(&self) -> usize {
-        self.lu.rows
-    }
-
-    /// The packed `L\U` factors (unit lower triangle below the diagonal,
-    /// upper triangle on and above it).
-    pub fn factors(&self) -> &Matrix {
-        &self.lu
-    }
-
-    /// The pivot swap sequence: at elimination step `k`, row `k` was
-    /// swapped with row `pivots()[k]`.
-    pub fn pivots(&self) -> &[usize] {
-        &self.ipiv
-    }
-
-    /// Solves `A x = b` using the stored factorization.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::DimensionMismatch`] if `b.len() != self.order()`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = b.to_vec();
-        self.solve_into(&mut x)?;
-        Ok(x)
-    }
-
-    /// Solves `A x = b` in place: `b` holds the right-hand side on entry
-    /// and the solution on return. Performs no allocation.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::DimensionMismatch`] if `b.len() != self.order()`.
-    pub fn solve_into(&self, b: &mut [f64]) -> Result<()> {
-        let n = self.order();
-        if b.len() != n {
-            return Err(Error::DimensionMismatch {
-                found: (b.len(), 1),
-                expected: (n, 1),
-            });
-        }
-        substitute_in_place(&self.lu.data, n, &self.ipiv, b);
-        Ok(())
-    }
-
-    /// Determinant of the original matrix (product of pivots times the
-    /// permutation sign).
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.order() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
-}
-
 /// Reusable LU factorization storage: factor a borrowed matrix into the
 /// workspace's own buffers, then solve right-hand sides in place.
 ///
-/// Unlike [`LuFactors::factor`], which consumes its argument, a
-/// `LuWorkspace` copies the matrix into storage it already owns:
-/// re-factoring a same-sized system performs **zero heap allocation**.
-/// This is the kernel the circuit simulator's Newton loop runs on every
-/// iteration of every timestep.
+/// A `LuWorkspace` copies (or swaps) the matrix into storage it already
+/// owns: re-factoring a same-sized system performs **zero heap
+/// allocation**. The BBD backend factors its border Schur complement
+/// here on every Newton refactorization.
 ///
 /// # Example
 ///
@@ -539,59 +386,6 @@ impl LuWorkspace {
         self.factored = false;
         self.sign = eliminate_in_place(&mut self.lu.data, n, &mut self.ipiv)?;
         self.factored = true;
-        Ok(())
-    }
-
-    /// Fused factor-and-solve: factors `a` by buffer swap (like
-    /// [`LuWorkspace::factor_in_place`]) while carrying `b` through the
-    /// elimination as an augmented column, then back-substitutes into
-    /// `b`. This touches each matrix row exactly once while it is
-    /// cache-hot, skipping the separate permutation + forward
-    /// substitution pass a factor-then-solve pair would make.
-    ///
-    /// The solution written to `b` is bit-identical to
-    /// `factor_in_place(a)` followed by [`LuWorkspace::solve_into`]`(b)`:
-    /// every update `b[i] -= l_ik * b[k]` happens with the same operands
-    /// in the same ascending-`k` order as pivoted forward substitution
-    /// (row `k` of the factorization is final after step `k`, and the
-    /// multipliers travel with their full rows through pivot swaps).
-    ///
-    /// On success the workspace holds the factorization, so
-    /// [`LuWorkspace::solve_into`] and [`LuWorkspace::det`] remain
-    /// usable for further right-hand sides.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::DimensionMismatch`] if `a` is not square or `b`'s length
-    /// does not match; [`Error::Singular`] on a zero pivot column (the
-    /// workspace is left unfactored and `b` partially transformed).
-    pub fn factor_solve_in_place(&mut self, a: &mut Matrix, b: &mut [f64]) -> Result<()> {
-        if a.rows != a.cols {
-            return Err(Error::DimensionMismatch {
-                found: (a.rows, a.cols),
-                expected: (a.rows, a.rows),
-            });
-        }
-        let n = a.rows;
-        if b.len() != n {
-            return Err(Error::DimensionMismatch {
-                found: (b.len(), 1),
-                expected: (n, 1),
-            });
-        }
-        std::mem::swap(&mut self.lu, a);
-        if a.rows != n {
-            // The returned buffer must stay usable as an `n x n` staging
-            // matrix for the caller's next stamping round.
-            *a = Matrix::zeros(n, n);
-        }
-        if self.ipiv.len() != n {
-            self.ipiv = (0..n).collect();
-        }
-        self.factored = false;
-        self.sign = eliminate_with_rhs(&mut self.lu.data, n, &mut self.ipiv, b)?;
-        self.factored = true;
-        back_substitute(&self.lu.data, n, b);
         Ok(())
     }
 
@@ -735,7 +529,7 @@ mod tests {
     fn non_square_factor_rejected() {
         let a = Matrix::zeros(2, 3);
         assert!(matches!(
-            LuFactors::factor(a),
+            a.solve(&[1.0, 2.0]),
             Err(Error::DimensionMismatch { .. })
         ));
     }
@@ -744,23 +538,27 @@ mod tests {
     fn det_of_permutation() {
         // Swapping two rows of identity gives det = -1.
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        let lu = LuFactors::factor(a).unwrap();
-        assert_close(lu.det(), -1.0, 1e-12);
+        let mut lu = LuWorkspace::new(2);
+        lu.factor(&a).unwrap();
+        assert_close(lu.det().unwrap(), -1.0, 1e-12);
     }
 
     #[test]
     fn det_of_known_matrix() {
         let a = Matrix::from_rows(&[&[4.0, 3.0], &[6.0, 3.0]]).unwrap();
-        let lu = LuFactors::factor(a).unwrap();
-        assert_close(lu.det(), -6.0, 1e-12);
+        let mut lu = LuWorkspace::new(2);
+        lu.factor(&a).unwrap();
+        assert_close(lu.det().unwrap(), -6.0, 1e-12);
     }
 
     #[test]
     fn reuse_factorization_for_many_rhs() {
         let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let lu = LuFactors::factor(a.clone()).unwrap();
+        let mut lu = LuWorkspace::new(2);
+        lu.factor(&a).unwrap();
         for b in [[1.0, 0.0], [0.0, 1.0], [2.0, -3.0]] {
-            let x = lu.solve(&b).unwrap();
+            let mut x = b;
+            lu.solve_into(&mut x).unwrap();
             let back = a.mul_vec(&x).unwrap();
             assert_close(back[0], b[0], 1e-12);
             assert_close(back[1], b[1], 1e-12);
@@ -806,22 +604,24 @@ mod tests {
     }
 
     #[test]
-    fn workspace_matches_owning_factor_exactly() {
+    fn factor_in_place_matches_factor_exactly() {
         let a = Matrix::from_rows(&[&[0.0, 2.0, 1.0], &[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0]]).unwrap();
-        let lu = LuFactors::factor(a.clone()).unwrap();
-        let mut ws = LuWorkspace::new(3);
-        ws.factor(&a).unwrap();
-        assert_eq!(lu.factors(), ws.factors());
-        assert_eq!(lu.pivots(), ws.pivots());
-        let b = [5.0, 1.0, 2.0];
-        let x_owned = lu.solve(&b).unwrap();
-        let mut x_ws = b;
-        ws.solve_into(&mut x_ws).unwrap();
-        let owned_bits: Vec<u64> = x_owned.iter().map(|v| v.to_bits()).collect();
-        let ws_bits: Vec<u64> = x_ws.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(owned_bits, ws_bits);
+        let mut copied = LuWorkspace::new(3);
+        copied.factor(&a).unwrap();
         // `a` is untouched by the borrow-based factorization.
         assert_eq!(a[(0, 1)], 2.0);
+        let mut swapped = LuWorkspace::new(3);
+        let mut staged = a.clone();
+        swapped.factor_in_place(&mut staged).unwrap();
+        assert_eq!(copied.factors(), swapped.factors());
+        assert_eq!(copied.pivots(), swapped.pivots());
+        let b = [5.0, 1.0, 2.0];
+        let (mut x_copied, mut x_swapped) = (b, b);
+        copied.solve_into(&mut x_copied).unwrap();
+        swapped.solve_into(&mut x_swapped).unwrap();
+        let copied_bits: Vec<u64> = x_copied.iter().map(|v| v.to_bits()).collect();
+        let swapped_bits: Vec<u64> = x_swapped.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(copied_bits, swapped_bits);
     }
 
     #[test]
@@ -876,9 +676,10 @@ mod tests {
     #[test]
     fn solve_into_matches_solve() {
         let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let lu = LuFactors::factor(a).unwrap();
+        let mut lu = LuWorkspace::new(2);
+        lu.factor(&a).unwrap();
         let b = [2.0, -3.0];
-        let x = lu.solve(&b).unwrap();
+        let x = a.solve(&b).unwrap();
         let mut y = b;
         lu.solve_into(&mut y).unwrap();
         assert_eq!(x[0].to_bits(), y[0].to_bits());

@@ -5,7 +5,7 @@
 //! transient solution point; device analysis (coercive field, remnant
 //! polarization, load-line intersections) uses the scalar methods.
 
-use crate::linalg::{norm_inf, LuFactors, Matrix};
+use crate::linalg::{norm_inf, Matrix};
 use crate::{Error, Result};
 
 /// Options controlling Newton iteration.
@@ -139,9 +139,8 @@ where
                 residual: res,
             });
         }
-        let lu = LuFactors::factor(j.clone())?;
         let neg_r: Vec<f64> = r.iter().map(|v| -v).collect();
-        let mut dx = lu.solve(&neg_r)?;
+        let mut dx = j.solve(&neg_r)?;
         let step = norm_inf(&dx);
         if step > opts.max_step {
             let scale = opts.max_step / step;

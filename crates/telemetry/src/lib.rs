@@ -53,19 +53,17 @@ use std::sync::{Arc, OnceLock};
 pub struct SolverStats {
     /// Converged Newton solves.
     pub solves: Counter,
-    /// Solves that exhausted the iteration budget.
+    /// Solves that failed: iteration budget exhausted, singular
+    /// factorization, non-finite iterate or a stamp-pattern mismatch.
     pub failures: Counter,
     /// Newton iterations per converged solve.
     pub newton_iterations: QuantileHistogram,
     /// |KCL residual| (A) at convergence, per solve.
     pub residual_at_convergence: QuantileHistogram,
-    /// Dense LU factorizations (one per Newton iteration on the dense
-    /// backend).
-    pub dense_factors: Counter,
     /// Sparse LU numeric refactorizations (one per Newton iteration on
     /// the sparse backend).
     pub sparse_refactors: Counter,
-    /// Triangular back-substitutions (dense or sparse), total.
+    /// Triangular back-substitutions (sparse or BBD), total.
     pub back_substitutions: Counter,
     /// LU (re)factorizations per converged solve (0 when every
     /// iteration reused a stored factorization).
@@ -121,7 +119,6 @@ impl Default for SolverStats {
             // underflow, 100 and up in overflow.
             newton_iterations: QuantileHistogram::new(0, 2, 8),
             residual_at_convergence: QuantileHistogram::new(-18, 0, 1),
-            dense_factors: Counter::new(),
             sparse_refactors: Counter::new(),
             back_substitutions: Counter::new(),
             factors_per_solve: QuantileHistogram::new(0, 2, 8),
@@ -149,7 +146,7 @@ impl SolverStats {
         format!(
             "{{\"solves\":{},\"failures\":{},\"gmin_retries\":{},\
              \"newton_iterations\":{},\"residual_at_convergence\":{},\
-             \"dense_factors\":{},\"sparse_refactors\":{},\
+             \"sparse_refactors\":{},\
              \"back_substitutions\":{},\"factors_per_solve\":{},\
              \"jacobian_reuses\":{},\"bypass_hits\":{},\
              \"bypass_misses\":{},\
@@ -164,7 +161,6 @@ impl SolverStats {
             self.gmin_retries.get(),
             self.newton_iterations.to_json(),
             self.residual_at_convergence.to_json(),
-            self.dense_factors.get(),
             self.sparse_refactors.get(),
             self.back_substitutions.get(),
             self.factors_per_solve.to_json(),

@@ -50,8 +50,7 @@ pub const DEFAULT_EVENTS_PER_LANE: usize = 16 * 1024;
 pub enum TraceEvent {
     /// One converged (or failed) Newton point solve. `arg` = iterations.
     NewtonSolve = 0,
-    /// A Jacobian (re)factorization. `arg` = backend (0 dense, 1
-    /// sparse, 2 BBD).
+    /// A Jacobian (re)factorization. `arg` = backend (1 sparse, 2 BBD).
     Factor = 1,
     /// One accepted transient step. `arg` = step size in femtoseconds.
     TransientStep = 2,
