@@ -11,7 +11,7 @@
 
 use fefet_alloctrack::count_allocations;
 use fefet_ckt::circuit::Circuit;
-use fefet_ckt::elements::{ElemState, Integration};
+use fefet_ckt::elements::ElemState;
 use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
 use fefet_ckt::plan::BlockPlan;
 use fefet_ckt::waveform::Waveform;
@@ -62,17 +62,7 @@ fn bbd_warm_solves_allocate_nothing() {
     // Cold transient solve: pattern recording, structure analysis,
     // factorization — must allocate.
     let (cold, r) = count_allocations(|| {
-        asm.solve_point_with(
-            &c,
-            1e-9,
-            1e-9,
-            Integration::BackwardEuler,
-            false,
-            &opts,
-            &mut x,
-            &states,
-            &mut ws,
-        )
+        asm.solve_point_with(&c, 1e-9, 1e-9, false, &opts, &mut x, &states, &mut ws)
     });
     r.unwrap();
     assert!(cold > 0, "cold solve should build the BBD state");
@@ -84,17 +74,7 @@ fn bbd_warm_solves_allocate_nothing() {
     // Warm resolves from the converged point: stored factors hit.
     for trial in 0..3 {
         let (warm, r) = count_allocations(|| {
-            asm.solve_point_with(
-                &c,
-                1e-9,
-                1e-9,
-                Integration::BackwardEuler,
-                false,
-                &opts,
-                &mut x,
-                &states,
-                &mut ws,
-            )
+            asm.solve_point_with(&c, 1e-9, 1e-9, false, &opts, &mut x, &states, &mut ws)
         });
         r.unwrap();
         assert_eq!(
@@ -111,17 +91,7 @@ fn bbd_warm_solves_allocate_nothing() {
             *v += 0.017;
         }
         let (warm, r) = count_allocations(|| {
-            asm.solve_point_with(
-                &c,
-                1e-9,
-                1e-9,
-                Integration::BackwardEuler,
-                false,
-                &opts,
-                &mut x,
-                &states,
-                &mut ws,
-            )
+            asm.solve_point_with(&c, 1e-9, 1e-9, false, &opts, &mut x, &states, &mut ws)
         });
         let iters = r.unwrap();
         assert!(iters >= 1);

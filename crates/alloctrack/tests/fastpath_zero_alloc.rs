@@ -10,7 +10,7 @@
 
 use fefet_alloctrack::count_allocations;
 use fefet_ckt::circuit::Circuit;
-use fefet_ckt::elements::{ElemState, Integration};
+use fefet_ckt::elements::ElemState;
 use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
 use fefet_ckt::models::MosParams;
 use fefet_ckt::waveform::Waveform;
@@ -62,17 +62,7 @@ fn fastpath_warm_transient_solves_allocate_nothing() {
     // Cold transient solve: builds backend state, factors, and the
     // bypass bank; must allocate.
     let (cold, r) = count_allocations(|| {
-        asm.solve_point_with(
-            &c,
-            1e-9,
-            1e-9,
-            Integration::BackwardEuler,
-            false,
-            &opts,
-            &mut x,
-            &states,
-            &mut ws,
-        )
+        asm.solve_point_with(&c, 1e-9, 1e-9, false, &opts, &mut x, &states, &mut ws)
     });
     r.unwrap();
     assert!(cold > 0, "{backend:?}: cold solve should build state");
@@ -82,17 +72,7 @@ fn fastpath_warm_transient_solves_allocate_nothing() {
     // these ride the fast path end to end.
     for trial in 0..3 {
         let (warm, r) = count_allocations(|| {
-            asm.solve_point_with(
-                &c,
-                1e-9,
-                1e-9,
-                Integration::BackwardEuler,
-                false,
-                &opts,
-                &mut x,
-                &states,
-                &mut ws,
-            )
+            asm.solve_point_with(&c, 1e-9, 1e-9, false, &opts, &mut x, &states, &mut ws)
         });
         r.unwrap();
         assert_eq!(
@@ -110,17 +90,7 @@ fn fastpath_warm_transient_solves_allocate_nothing() {
             *v += 0.013;
         }
         let (warm, r) = count_allocations(|| {
-            asm.solve_point_with(
-                &c,
-                1e-9,
-                1e-9,
-                Integration::BackwardEuler,
-                false,
-                &opts,
-                &mut x,
-                &states,
-                &mut ws,
-            )
+            asm.solve_point_with(&c, 1e-9, 1e-9, false, &opts, &mut x, &states, &mut ws)
         });
         let iters = r.unwrap();
         assert!(iters >= 1);

@@ -11,7 +11,7 @@
 
 use fefet_alloctrack::count_allocations;
 use fefet_ckt::circuit::Circuit;
-use fefet_ckt::elements::{ElemState, Integration};
+use fefet_ckt::elements::ElemState;
 use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
 use fefet_ckt::models::MosParams;
 use fefet_ckt::waveform::Waveform;
@@ -59,17 +59,7 @@ fn warm_newton_solves_allocate_nothing() {
         let mut x = vec![0.0; n];
         // Cold solve: builds the backend state; must allocate.
         let (cold, r) = count_allocations(|| {
-            asm.solve_point_with(
-                &c,
-                t,
-                h,
-                Integration::BackwardEuler,
-                dc,
-                &opts,
-                &mut x,
-                &states,
-                &mut ws,
-            )
+            asm.solve_point_with(&c, t, h, dc, &opts, &mut x, &states, &mut ws)
         });
         r.unwrap();
         assert!(
@@ -83,17 +73,7 @@ fn warm_newton_solves_allocate_nothing() {
                 *v += 0.013;
             }
             let (warm, r) = count_allocations(|| {
-                asm.solve_point_with(
-                    &c,
-                    t,
-                    h,
-                    Integration::BackwardEuler,
-                    dc,
-                    &opts,
-                    &mut x,
-                    &states,
-                    &mut ws,
-                )
+                asm.solve_point_with(&c, t, h, dc, &opts, &mut x, &states, &mut ws)
             });
             let iters = r.unwrap();
             assert!(iters >= 1);

@@ -11,7 +11,7 @@
 
 use fefet_alloctrack::count_allocations;
 use fefet_ckt::circuit::Circuit;
-use fefet_ckt::elements::{ElemState, Integration};
+use fefet_ckt::elements::ElemState;
 use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
 use fefet_ckt::models::MosParams;
 use fefet_ckt::waveform::Waveform;
@@ -64,17 +64,7 @@ fn profiled_warm_newton_solves_allocate_nothing() {
     // Cold solve: builds backend state and claims this thread's
     // trace lane; both may (and do) allocate.
     let (cold, r) = count_allocations(|| {
-        asm.solve_point_with(
-            &c,
-            0.0,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            &opts,
-            &mut x,
-            &states,
-            &mut ws,
-        )
+        asm.solve_point_with(&c, 0.0, 0.0, true, &opts, &mut x, &states, &mut ws)
     });
     r.unwrap();
     assert!(cold > 0, "{backend:?}: cold solve builds backend state");
@@ -83,17 +73,7 @@ fn profiled_warm_newton_solves_allocate_nothing() {
             *v += 0.013;
         }
         let (warm, r) = count_allocations(|| {
-            asm.solve_point_with(
-                &c,
-                0.0,
-                0.0,
-                Integration::BackwardEuler,
-                true,
-                &opts,
-                &mut x,
-                &states,
-                &mut ws,
-            )
+            asm.solve_point_with(&c, 0.0, 0.0, true, &opts, &mut x, &states, &mut ws)
         });
         let iters = r.unwrap();
         assert!(iters >= 1);

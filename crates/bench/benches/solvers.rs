@@ -8,7 +8,7 @@
 
 use fefet_bench::tinybench::{opaque, smoke, Report};
 use fefet_ckt::circuit::Circuit;
-use fefet_ckt::elements::{ElemState, Integration};
+use fefet_ckt::elements::ElemState;
 use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
 use fefet_ckt::transient::{transient, TransientOptions};
 use fefet_ckt::waveform::Waveform;
@@ -34,18 +34,8 @@ fn newton_inplace(
     ws: &mut NewtonWorkspace,
 ) {
     x.copy_from_slice(x0);
-    asm.solve_point_with(
-        ckt,
-        t,
-        0.0,
-        Integration::BackwardEuler,
-        true,
-        opts,
-        x,
-        states,
-        ws,
-    )
-    .expect("newton_inplace failed to converge");
+    asm.solve_point_with(ckt, t, 0.0, true, opts, x, states, ws)
+        .expect("newton_inplace failed to converge");
 }
 
 /// The read-phase circuit of an array, at a bias point inside the read

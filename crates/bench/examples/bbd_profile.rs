@@ -3,7 +3,7 @@
 //! tool for placing the Auto-promotion crossover, not a committed
 //! bench. Usage: `bbd_profile [rows] [skip-sparse]`.
 
-use fefet_ckt::elements::{ElemState, Integration};
+use fefet_ckt::elements::ElemState;
 use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
 use fefet_mem::array::FefetArray;
 use fefet_mem::cell::FefetCell;
@@ -57,18 +57,8 @@ fn main() {
         let mut ws = NewtonWorkspace::new(n);
         let mut x = vec![0.0; n];
         let t0 = Instant::now();
-        asm.solve_point_with(
-            &ckt,
-            t_bias,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            opts,
-            &mut x,
-            &states,
-            &mut ws,
-        )
-        .expect("cold solve");
+        asm.solve_point_with(&ckt, t_bias, 0.0, true, opts, &mut x, &states, &mut ws)
+            .expect("cold solve");
         let cold = t0.elapsed();
         let x_star = x.clone();
         // Warm exact: stamp + full refactor + solve per call.
@@ -76,18 +66,8 @@ fn main() {
         let t0 = Instant::now();
         for _ in 0..reps {
             x.copy_from_slice(&x_star);
-            asm.solve_point_with(
-                &ckt,
-                t_bias,
-                0.0,
-                Integration::BackwardEuler,
-                true,
-                opts,
-                &mut x,
-                &states,
-                &mut ws,
-            )
-            .expect("warm solve");
+            asm.solve_point_with(&ckt, t_bias, 0.0, true, opts, &mut x, &states, &mut ws)
+                .expect("warm solve");
         }
         let warm = t0.elapsed() / reps;
         // Warm fast-path (jacobian reuse on): mostly stamp + solve.
@@ -99,18 +79,8 @@ fn main() {
         let t0 = Instant::now();
         for _ in 0..reps {
             x.copy_from_slice(&x_star);
-            asm.solve_point_with(
-                &ckt,
-                t_bias,
-                0.0,
-                Integration::BackwardEuler,
-                true,
-                &fast,
-                &mut x,
-                &states,
-                &mut ws,
-            )
-            .expect("fast solve");
+            asm.solve_point_with(&ckt, t_bias, 0.0, true, &fast, &mut x, &states, &mut ws)
+                .expect("fast solve");
         }
         let fastt = t0.elapsed() / reps;
         println!(

@@ -2,7 +2,7 @@
 //! offline build cannot fetch.
 //!
 //! Each bench target is a plain `fn main()` (`harness = false`) calling
-//! [`bench`] per workload, or — when the numbers should be kept — going
+//! [`bench()`] per workload, or — when the numbers should be kept — going
 //! through a [`Report`] that collects [`Sample`]s and can serialize them
 //! to JSON for a committed baseline. The harness warms up, picks an
 //! iteration count targeting a fixed measurement window, runs a few
@@ -229,7 +229,7 @@ impl Report {
     }
 
     /// Runs a calibrated multi-batch measurement (like the free
-    /// [`bench`]), printing the result and recording it.
+    /// [`bench()`]), printing the result and recording it.
     pub fn bench<T, F: FnMut() -> T>(&mut self, name: &str, f: F) {
         let s = measure(name, f, false);
         print_sample(&s);
@@ -246,8 +246,9 @@ impl Report {
     }
 
     /// Runs two workloads with their batches interleaved in one
-    /// measurement window, so the ratio of their medians is robust to
-    /// host-load drift (see [`measure_pair`]). Records and prints both.
+    /// measurement window (each calibrated separately, then their
+    /// batches alternated), so the ratio of their medians is robust to
+    /// host-load drift. Records and prints both.
     pub fn bench_pair<TA, TB, FA: FnMut() -> TA, FB: FnMut() -> TB>(
         &mut self,
         name_a: &str,

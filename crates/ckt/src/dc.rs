@@ -5,7 +5,7 @@
 //! nonlinear (MOSFET/diode) circuits.
 
 use crate::circuit::Circuit;
-use crate::elements::{ElemState, Integration, Node};
+use crate::elements::{ElemState, Node};
 use crate::engine::{Assembly, NewtonWorkspace, SolverOptions};
 use crate::{CktError, Result};
 
@@ -97,17 +97,7 @@ pub fn dc_operating_point(ckt: &Circuit, opts: DcOptions) -> Result<DcSolution> 
     let mut ws = NewtonWorkspace::new(asm.n_unknowns());
     let mut x = vec![0.0; asm.n_unknowns()];
 
-    let direct = asm.solve_point_with(
-        ckt,
-        0.0,
-        0.0,
-        Integration::BackwardEuler,
-        true,
-        &opts.solver,
-        &mut x,
-        &states,
-        &mut ws,
-    );
+    let direct = asm.solve_point_with(ckt, 0.0, 0.0, true, &opts.solver, &mut x, &states, &mut ws);
     let x = match direct {
         Ok(_) => x,
         // A non-finite iterate means the netlist feeds NaN/Inf into the
@@ -218,30 +208,20 @@ fn gmin_stepping(
             tel.solver.gmin_retries.inc();
         }
         x_try.copy_from_slice(&x);
-        asm.solve_point_with(
-            ckt,
-            0.0,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            &solver,
-            &mut x_try,
-            states,
-            ws,
-        )
-        .map_err(|e| match e {
-            CktError::NonFinite { .. } => e,
-            // Keep the structured report, annotated with how far the
-            // gmin continuation got before this pass diverged.
-            CktError::NewtonExhausted { time, mut report } => {
-                report.gmin_trajectory = trajectory.clone();
-                CktError::NewtonExhausted { time, report }
-            }
-            other => CktError::Convergence {
-                time: 0.0,
-                detail: format!("gmin stepping failed at gmin={gmin:.1e}: {other}"),
-            },
-        })?;
+        asm.solve_point_with(ckt, 0.0, 0.0, true, &solver, &mut x_try, states, ws)
+            .map_err(|e| match e {
+                CktError::NonFinite { .. } => e,
+                // Keep the structured report, annotated with how far the
+                // gmin continuation got before this pass diverged.
+                CktError::NewtonExhausted { time, mut report } => {
+                    report.gmin_trajectory = trajectory.clone();
+                    CktError::NewtonExhausted { time, report }
+                }
+                other => CktError::Convergence {
+                    time: 0.0,
+                    detail: format!("gmin stepping failed at gmin={gmin:.1e}: {other}"),
+                },
+            })?;
         x.copy_from_slice(&x_try);
         if gmin <= target {
             return Ok(x);
@@ -504,5 +484,19 @@ mod tests {
         let op = dc_operating_point(&c, DcOptions::default()).unwrap();
         // No DC current through the FE cap: no drop across R1.
         assert!((op.v(f) - 1.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn inductor_is_short_in_dc() {
+        let mut c = Circuit::new();
+        let vin = c.node("in");
+        let mid = c.node("mid");
+        c.vsource("V1", vin, Circuit::GND, Waveform::dc(2.0));
+        c.resistor("R1", vin, mid, 1e3);
+        c.inductor("L1", mid, Circuit::GND, 1e-3);
+        let op = dc_operating_point(&c, DcOptions::default()).unwrap();
+        // The inductor shorts mid to ground: current = 2 mA.
+        assert!(op.v(mid).abs() < 1e-6);
+        assert!((op.branch_current("L1").unwrap() - 2e-3).abs() < 1e-8);
     }
 }

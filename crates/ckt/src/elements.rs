@@ -33,17 +33,6 @@ impl std::fmt::Display for Node {
     }
 }
 
-/// Integration method for dynamic elements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Integration {
-    /// Backward Euler — L-stable, first order. Robust for the strongly
-    /// nonlinear polarization switching transients, so it is the default.
-    #[default]
-    BackwardEuler,
-    /// Trapezoidal — A-stable, second order, can ring on hard corners.
-    Trapezoidal,
-}
-
 /// A netlist element.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -108,7 +97,10 @@ pub enum Element {
     },
 }
 
-/// Per-element dynamic state carried between accepted time steps.
+/// Per-element dynamic state carried between accepted time steps:
+/// what backward Euler needs from the previous accepted point, plus the
+/// capacitor current and FE rate the recorders report (the rate also
+/// seeds the FE inner Newton).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ElemState {
     /// Element has no state.
@@ -116,10 +108,10 @@ pub enum ElemState {
     None,
     /// Capacitor: voltage and current at the last accepted step.
     Cap { v: f64, i: f64 },
-    /// Inductor: branch current and voltage at the last accepted step.
-    Ind { i: f64, v: f64 },
-    /// MOSFET: gate charge and gate current at the last accepted step.
-    Mos { q_g: f64, i_g: f64 },
+    /// Inductor: branch current at the last accepted step.
+    Ind { i: f64 },
+    /// MOSFET: gate charge at the last accepted step.
+    Mos { q_g: f64 },
     /// Ferroelectric capacitor: polarization and its rate.
     Fe { p: f64, dp_dt: f64 },
 }
@@ -129,10 +121,8 @@ pub enum ElemState {
 pub struct EvalCtx<'a> {
     /// Absolute time (s) of the step being solved (ignored for DC).
     pub t: f64,
-    /// Step size (s); 0 for DC.
+    /// Backward-Euler step size (s); 0 for DC.
     pub h: f64,
-    /// Integration method for dynamic elements.
-    pub method: Integration,
     /// True during a DC operating-point solve (dynamic elements open).
     pub dc: bool,
     /// Current Newton iterate (node voltages then branch currents).
@@ -332,13 +322,12 @@ pub(crate) enum ModelCache {
         c: f64,
     },
     /// FeCap: inner LK solve, additionally keyed on the exact previous
-    /// state and the (h, method) step context it was computed under.
+    /// state and the step size it was computed under.
     Fe {
         v: f64,
         p_bits: u64,
         dp_bits: u64,
         h_bits: u64,
-        trap: bool,
         j: f64,
         dj_dv: f64,
     },
@@ -438,7 +427,7 @@ impl Element {
                 v: v_of(a) - v_of(b),
                 i: 0.0,
             },
-            Element::Inductor { .. } => ElemState::Ind { i: 0.0, v: 0.0 },
+            Element::Inductor { .. } => ElemState::Ind { i: 0.0 },
             Element::Mosfet { g, s, params, .. } => {
                 let sign = match params.polarity {
                     MosPolarity::Nmos => 1.0,
@@ -447,7 +436,6 @@ impl Element {
                 let vgs = v_of(g) - v_of(s);
                 ElemState::Mos {
                     q_g: sign * params.q_gate(sign * vgs),
-                    i_g: 0.0,
                 }
             }
             Element::FeCap { p0, .. } => ElemState::Fe { p: *p0, dp_dt: 0.0 },
@@ -488,21 +476,12 @@ impl Element {
                 if ctx.dc {
                     return; // open in DC
                 }
-                let (v_prev, i_prev) = match ctx.state {
-                    ElemState::Cap { v, i } => (v, i),
-                    _ => (0.0, 0.0),
+                let v_prev = match ctx.state {
+                    ElemState::Cap { v, .. } => v,
+                    _ => 0.0,
                 };
-                let (g, i0) = match ctx.method {
-                    Integration::BackwardEuler => {
-                        let g = farads / ctx.h;
-                        (g, -g * v_prev)
-                    }
-                    Integration::Trapezoidal => {
-                        let g = 2.0 * farads / ctx.h;
-                        (g, -g * v_prev - i_prev)
-                    }
-                };
-                sys.stamp_conductance(*a, *b, g, i0, ctx.v(*a), ctx.v(*b));
+                let g = farads / ctx.h;
+                sys.stamp_conductance(*a, *b, g, -g * v_prev, ctx.v(*a), ctx.v(*b));
             }
             Element::Inductor { a, b, henries } => {
                 let i_br = ctx.x[sys.n_nodes - 1 + branch0];
@@ -516,22 +495,15 @@ impl Element {
                     sys.add_jac_bn(branch0, *a, 1.0);
                     sys.add_jac_bn(branch0, *b, -1.0);
                 } else {
-                    let (i_prev, v_prev) = match ctx.state {
-                        ElemState::Ind { i, v } => (i, v),
-                        _ => (0.0, 0.0),
+                    let i_prev = match ctx.state {
+                        ElemState::Ind { i } => i,
+                        _ => 0.0,
                     };
                     let v = ctx.v(*a) - ctx.v(*b);
-                    // v = L di/dt discretized: BE: v = L (i - i_prev)/h;
-                    // trapezoidal: (v + v_prev)/2 = L (i - i_prev)/h.
-                    let (res, dv_coeff) = match ctx.method {
-                        Integration::BackwardEuler => (v - henries * (i_br - i_prev) / ctx.h, 1.0),
-                        Integration::Trapezoidal => {
-                            (0.5 * (v + v_prev) - henries * (i_br - i_prev) / ctx.h, 0.5)
-                        }
-                    };
-                    sys.add_res_branch(branch0, res);
-                    sys.add_jac_bn(branch0, *a, dv_coeff);
-                    sys.add_jac_bn(branch0, *b, -dv_coeff);
+                    // v = L di/dt discretized: v = L (i - i_prev)/h.
+                    sys.add_res_branch(branch0, v - henries * (i_br - i_prev) / ctx.h);
+                    sys.add_jac_bn(branch0, *a, 1.0);
+                    sys.add_jac_bn(branch0, *b, -1.0);
                     sys.add_jac_bb(branch0, branch0, -henries / ctx.h);
                 }
             }
@@ -647,7 +619,6 @@ impl Element {
                     _ => (0.0, 0.0),
                 };
                 let v = ctx.v(*a) - ctx.v(*b);
-                let trap = matches!(ctx.method, Integration::Trapezoidal);
                 let mut hit = None;
                 if let Some(bp) = bypass {
                     if let ModelCache::Fe {
@@ -655,7 +626,6 @@ impl Element {
                         p_bits,
                         dp_bits,
                         h_bits,
-                        trap: trap_c,
                         j: jc,
                         dj_dv: djc,
                     } = bp.slot().get()
@@ -663,7 +633,6 @@ impl Element {
                         if p_bits == p_prev.to_bits()
                             && dp_bits == dp_prev.to_bits()
                             && h_bits == ctx.h.to_bits()
-                            && trap_c == trap
                             && (v - vc).abs() <= bp.vtol
                         {
                             hit = Some((jc + djc * (v - vc), djc));
@@ -678,8 +647,7 @@ impl Element {
                         jd
                     }
                     None => {
-                        let (j, dj_dv) =
-                            fe_inner_solve(params, p_prev, dp_prev, v, ctx.h, ctx.method);
+                        let (j, dj_dv) = fe_inner_solve(params, p_prev, dp_prev, v, ctx.h);
                         if let Some(bp) = bypass {
                             bp.bank.record_miss();
                             bp.slot().set(ModelCache::Fe {
@@ -687,7 +655,6 @@ impl Element {
                                 p_bits: p_prev.to_bits(),
                                 dp_bits: dp_prev.to_bits(),
                                 h_bits: ctx.h.to_bits(),
-                                trap,
                                 j,
                                 dj_dv,
                             });
@@ -803,19 +770,17 @@ impl Element {
         }
         // Gate charge dynamics (gate-source referenced).
         if !ctx.dc {
-            let (q_prev, ig_prev) = match ctx.state {
-                ElemState::Mos { q_g, i_g } => (q_g, i_g),
-                _ => (0.0, 0.0),
+            let q_prev = match ctx.state {
+                ElemState::Mos { q_g } => q_g,
+                _ => 0.0,
             };
             let sign = match params.polarity {
                 MosPolarity::Nmos => 1.0,
                 MosPolarity::Pmos => -1.0,
             };
             let q = sign * q_raw;
-            let (i_g, di_dvgs) = match ctx.method {
-                Integration::BackwardEuler => ((q - q_prev) / ctx.h, c / ctx.h),
-                Integration::Trapezoidal => (2.0 * (q - q_prev) / ctx.h - ig_prev, 2.0 * c / ctx.h),
-            };
+            let i_g = (q - q_prev) / ctx.h;
+            let di_dvgs = c / ctx.h;
             sys.add_res_node(g, i_g);
             sys.add_res_node(s, -i_g);
             sys.add_jac_nn(g, g, di_dvgs);
@@ -832,37 +797,27 @@ impl Element {
         let v_of = |n: &Node| ctx.v(*n);
         match self {
             Element::Capacitor { a, b, farads } => {
-                let (v_prev, i_prev) = match ctx.state {
-                    ElemState::Cap { v, i } => (v, i),
-                    _ => (0.0, 0.0),
+                let v_prev = match ctx.state {
+                    ElemState::Cap { v, .. } => v,
+                    _ => 0.0,
                 };
                 let v = v_of(a) - v_of(b);
-                let i = match ctx.method {
-                    Integration::BackwardEuler => farads * (v - v_prev) / ctx.h,
-                    Integration::Trapezoidal => 2.0 * farads * (v - v_prev) / ctx.h - i_prev,
-                };
-                ElemState::Cap { v, i }
+                ElemState::Cap {
+                    v,
+                    i: farads * (v - v_prev) / ctx.h,
+                }
             }
-            Element::Inductor { a, b, .. } => {
-                let v = v_of(a) - v_of(b);
-                let i = ctx.x[n_nodes - 1 + branch0];
-                ElemState::Ind { i, v }
-            }
+            Element::Inductor { .. } => ElemState::Ind {
+                i: ctx.x[n_nodes - 1 + branch0],
+            },
             Element::Mosfet { g, s, params, .. } => {
-                let (q_prev, ig_prev) = match ctx.state {
-                    ElemState::Mos { q_g, i_g } => (q_g, i_g),
-                    _ => (0.0, 0.0),
-                };
                 let sign = match params.polarity {
                     MosPolarity::Nmos => 1.0,
                     MosPolarity::Pmos => -1.0,
                 };
-                let q = sign * params.q_gate(sign * (v_of(g) - v_of(s)));
-                let i_g = match ctx.method {
-                    Integration::BackwardEuler => (q - q_prev) / ctx.h,
-                    Integration::Trapezoidal => 2.0 * (q - q_prev) / ctx.h - ig_prev,
-                };
-                ElemState::Mos { q_g: q, i_g }
+                ElemState::Mos {
+                    q_g: sign * params.q_gate(sign * (v_of(g) - v_of(s))),
+                }
             }
             Element::FeCap { a, b, params, .. } => {
                 let (p_prev, dp_prev) = match ctx.state {
@@ -870,13 +825,9 @@ impl Element {
                     _ => (0.0, 0.0),
                 };
                 let v = v_of(a) - v_of(b);
-                let (j, _) = fe_inner_solve(params, p_prev, dp_prev, v, ctx.h, ctx.method);
-                let p_new = match ctx.method {
-                    Integration::BackwardEuler => p_prev + ctx.h * j,
-                    Integration::Trapezoidal => p_prev + 0.5 * ctx.h * (j + dp_prev),
-                };
+                let (j, _) = fe_inner_solve(params, p_prev, dp_prev, v, ctx.h);
                 ElemState::Fe {
-                    p: p_new.clamp(-P_CLAMP, P_CLAMP),
+                    p: (p_prev + ctx.h * j).clamp(-P_CLAMP, P_CLAMP),
                     dp_dt: j,
                 }
             }
@@ -944,29 +895,18 @@ impl Element {
 /// `j = dP/dt` satisfying the discretized LK equation
 ///
 /// ```text
-/// v = T_FE·(α P⁺ + β P⁺³ + γ P⁺⁵) + T_FE·ρ·j,   P⁺ = P_prev + h_eff·j
+/// v = T_FE·(α P⁺ + β P⁺³ + γ P⁺⁵) + T_FE·ρ·j,   P⁺ = P_prev + h·j
 /// ```
 ///
-/// with `h_eff = h` (BE) or `h/2` (trapezoidal, with the explicit half
-/// folded into `p_base`). Returns `(j, dj/dv)`.
-fn fe_inner_solve(
-    params: &FeCapParams,
-    p_prev: f64,
-    dp_prev: f64,
-    v: f64,
-    h: f64,
-    method: Integration,
-) -> (f64, f64) {
-    let (p_base, h_eff) = match method {
-        Integration::BackwardEuler => (p_prev, h),
-        Integration::Trapezoidal => (p_prev + 0.5 * h * dp_prev, 0.5 * h),
-    };
+/// (backward Euler), starting Newton from the previous rate `dp_prev`.
+/// Returns `(j, dj/dv)`.
+fn fe_inner_solve(params: &FeCapParams, p_prev: f64, dp_prev: f64, v: f64, h: f64) -> (f64, f64) {
     let r = params.thickness * params.lk.rho;
-    // Residual g(j) = v_static(p_base + h_eff j) + r j - v.
+    // Residual g(j) = v_static(p_prev + h j) + r j - v.
     let eval = |j: f64| {
-        let p = (p_base + h_eff * j).clamp(-P_CLAMP, P_CLAMP);
+        let p = (p_prev + h * j).clamp(-P_CLAMP, P_CLAMP);
         let gval = params.v_static(p) + r * j - v;
-        let dg = params.dv_dp(p) * h_eff + r;
+        let dg = params.dv_dp(p) * h + r;
         (gval, dg)
     };
     // Damped Newton from the previous rate (branch continuity).
@@ -981,10 +921,10 @@ fn fe_inner_solve(
         let mut dj = if dg.abs() > 1e-30 {
             -gval / dg
         } else {
-            gval.signum() * -0.1 / h_eff
+            gval.signum() * -0.1 / h
         };
         // Limit polarization change per Newton iteration to 0.05 C/m².
-        let dp_limit = 0.05 / h_eff;
+        let dp_limit = 0.05 / h;
         if dj.abs() > dp_limit {
             dj = dj.signum() * dp_limit;
         }
@@ -1038,7 +978,6 @@ mod tests {
         EvalCtx {
             t: 0.0,
             h,
-            method: Integration::BackwardEuler,
             dc: false,
             x,
             state,
@@ -1316,7 +1255,7 @@ mod tests {
         let params = FeCapParams::new(2.25e-9, 65e-9 * 45e-9);
         let pr = params.lk.remnant_polarization().unwrap();
         let v = params.v_static(pr); // ≈0 at remnant point
-        let (j, dj_dv) = fe_inner_solve(&params, pr, 0.0, v, 1e-12, Integration::BackwardEuler);
+        let (j, dj_dv) = fe_inner_solve(&params, pr, 0.0, v, 1e-12);
         assert!(
             j.abs() < 1e-3 / 1e-12 * 1e-9,
             "remnant state should be stationary, j={j}"
@@ -1329,10 +1268,10 @@ mod tests {
         let params = FeCapParams::new(2.25e-9, 65e-9 * 45e-9);
         // Strong positive voltage from negative remnant: j must be > 0.
         let pr = params.lk.remnant_polarization().unwrap();
-        let (j, _) = fe_inner_solve(&params, -pr, 0.0, 3.0, 1e-12, Integration::BackwardEuler);
+        let (j, _) = fe_inner_solve(&params, -pr, 0.0, 3.0, 1e-12);
         assert!(j > 0.0);
         // Strong negative voltage from positive remnant: j < 0.
-        let (j, _) = fe_inner_solve(&params, pr, 0.0, -3.0, 1e-12, Integration::BackwardEuler);
+        let (j, _) = fe_inner_solve(&params, pr, 0.0, -3.0, 1e-12);
         assert!(j < 0.0);
     }
 

@@ -8,9 +8,7 @@
 //! of every step.
 
 use crate::circuit::Circuit;
-use crate::elements::{
-    BypassBank, BypassCtx, ElemState, EvalCtx, Integration, JacTarget, Node, Sys,
-};
+use crate::elements::{BypassBank, BypassCtx, ElemState, EvalCtx, JacTarget, Node, Sys};
 use crate::plan::{AnalysisCache, BlockPlan};
 use crate::CktError;
 use fefet_numerics::bbd::BbdLu;
@@ -115,18 +113,17 @@ impl Default for SolverOptions {
 ///
 /// The modified-Newton fast path reuses factors across iterations *and*
 /// across solves (timesteps); any change that alters the Jacobian's
-/// structure or scaling — backend, stamping mode, step size, gmin, or
-/// integration method — invalidates them. Time is deliberately *not*
-/// part of the key: source values only enter the residual, and the rare
-/// time-dependent Jacobian change (a switch toggling) is caught by the
-/// residual-contraction fallback instead.
+/// structure or scaling — backend, stamping mode, step size or gmin —
+/// invalidates them. Time is deliberately *not* part of the key: source
+/// values only enter the residual, and the rare time-dependent Jacobian
+/// change (a switch toggling) is caught by the residual-contraction
+/// fallback instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FactorKey {
     backend: BackendKind,
     dc: bool,
     h_bits: u64,
     gmin_bits: u64,
-    method: Integration,
 }
 
 /// Resolved backend for one solve — [`SolverBackend`] with `Auto`
@@ -334,7 +331,6 @@ impl Assembly {
         ckt: &Circuit,
         t: f64,
         h: f64,
-        method: Integration,
         dc: bool,
         gmin: f64,
         x: &[f64],
@@ -346,7 +342,6 @@ impl Assembly {
             let ctx = EvalCtx {
                 t,
                 h,
-                method,
                 dc,
                 x,
                 state: states[i],
@@ -375,7 +370,6 @@ impl Assembly {
         ckt: &Circuit,
         t: f64,
         h: f64,
-        method: Integration,
         dc: bool,
         gmin: f64,
         x: &[f64],
@@ -389,7 +383,7 @@ impl Assembly {
             res: &mut scratch_res,
             n_nodes: self.n_nodes,
         };
-        self.stamp_sys(ckt, t, h, method, dc, gmin, x, states, &mut sys, None);
+        self.stamp_sys(ckt, t, h, dc, gmin, x, states, &mut sys, None);
         let pattern = CsrPattern::from_entries(n, &entries).map_err(CktError::from)?;
         let mut slots = Vec::with_capacity(entries.len());
         for &(r, c) in &entries {
@@ -416,13 +410,12 @@ impl Assembly {
         ckt: &Circuit,
         t: f64,
         h: f64,
-        method: Integration,
         dc: bool,
         opts: &SolverOptions,
         x: &[f64],
         states: &[ElemState],
     ) -> Result<CsrState<SparseLu>, CktError> {
-        let (pattern, slots) = self.record_pattern(ckt, t, h, method, dc, opts.gmin, x, states)?;
+        let (pattern, slots) = self.record_pattern(ckt, t, h, dc, opts.gmin, x, states)?;
         let (lu, cache_hit) = match &opts.cache {
             Some(cache) => cache.sparse(&pattern, || SparseLu::analyze(&pattern))?,
             None => (SparseLu::analyze(&pattern).map_err(CktError::from)?, false),
@@ -453,14 +446,13 @@ impl Assembly {
         ckt: &Circuit,
         t: f64,
         h: f64,
-        method: Integration,
         dc: bool,
         opts: &SolverOptions,
         plan: &BlockPlan,
         x: &[f64],
         states: &[ElemState],
     ) -> Result<CsrState<BbdLu>, CktError> {
-        let (pattern, slots) = self.record_pattern(ckt, t, h, method, dc, opts.gmin, x, states)?;
+        let (pattern, slots) = self.record_pattern(ckt, t, h, dc, opts.gmin, x, states)?;
         let structure = plan.block_structure(self)?;
         let (lu, cache_hit) = match &opts.cache {
             Some(cache) => cache.bbd(&pattern, &structure, || {
@@ -509,7 +501,6 @@ impl Assembly {
         ckt: &Circuit,
         t: f64,
         h: f64,
-        method: Integration,
         dc: bool,
         opts: &SolverOptions,
         x0: &[f64],
@@ -517,12 +508,13 @@ impl Assembly {
     ) -> Result<Vec<f64>, CktError> {
         let mut ws = NewtonWorkspace::new(self.n_unknowns());
         let mut x = x0.to_vec();
-        self.solve_point_with(ckt, t, h, method, dc, opts, &mut x, states, &mut ws)?;
+        self.solve_point_with(ckt, t, h, dc, opts, &mut x, states, &mut ws)?;
         Ok(x)
     }
 
     /// Newton iteration for one solution point at time `t` (s) with
-    /// step `h` (s), in place. Returns the number of Newton iterations
+    /// backward-Euler step `h` (s), in place (`dc` opens the dynamic
+    /// elements and ignores `h`). Returns the number of Newton iterations
     /// performed (so callers can compare iteration trajectories across
     /// solver backends).
     ///
@@ -554,7 +546,6 @@ impl Assembly {
         ckt: &Circuit,
         t: f64,
         h: f64,
-        method: Integration,
         dc: bool,
         opts: &SolverOptions,
         x: &mut [f64],
@@ -595,8 +586,7 @@ impl Assembly {
                 let slot = if dc { sparse_dc } else { sparse_tr };
                 let st = match slot {
                     Some(st) => st,
-                    None => slot
-                        .insert(self.build_sparse_state(ckt, t, h, method, dc, opts, x, states)?),
+                    None => slot.insert(self.build_sparse_state(ckt, t, h, dc, opts, x, states)?),
                 };
                 (&mut st.a, st.slots.as_slice(), ActiveLu::Sparse(&mut st.lu))
             }
@@ -607,9 +597,9 @@ impl Assembly {
                 let slot = if dc { bbd_dc } else { bbd_tr };
                 let st = match slot {
                     Some(st) => st,
-                    None => slot.insert(
-                        self.build_bbd_state(ckt, t, h, method, dc, opts, plan, x, states)?,
-                    ),
+                    None => {
+                        slot.insert(self.build_bbd_state(ckt, t, h, dc, opts, plan, x, states)?)
+                    }
                 };
                 (&mut st.a, st.slots.as_slice(), ActiveLu::Bbd(&mut st.lu))
             }
@@ -641,7 +631,6 @@ impl Assembly {
             dc,
             h_bits: h.to_bits(),
             gmin_bits: opts.gmin.to_bits(),
-            method,
         };
 
         let nv = self.n_nodes - 1;
@@ -681,7 +670,7 @@ impl Assembly {
                         res,
                         n_nodes: self.n_nodes,
                     };
-                    self.stamp_sys(ckt, t, h, method, dc, opts.gmin, x, states, &mut sys, bank);
+                    self.stamp_sys(ckt, t, h, dc, opts.gmin, x, states, &mut sys, bank);
                     let k = norm_inf(&res[..nv]);
                     let b = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
                     let cur = k.max(b);
@@ -715,7 +704,7 @@ impl Assembly {
                             res,
                             n_nodes: self.n_nodes,
                         };
-                        self.stamp_sys(ckt, t, h, method, dc, opts.gmin, x, states, &mut sys, bank);
+                        self.stamp_sys(ckt, t, h, dc, opts.gmin, x, states, &mut sys, bank);
                         if sys.sparse_cursor() != Some(slots.len()) {
                             break 'solve Err(CktError::Netlist(
                                 "stamp sequence diverged from the cached sparse pattern".into(),
@@ -905,7 +894,6 @@ mod tests {
         ckt: &Circuit,
         t: f64,
         h: f64,
-        method: Integration,
         dc: bool,
         gmin: f64,
         x: &[f64],
@@ -920,7 +908,7 @@ mod tests {
             res,
             n_nodes: asm.n_nodes,
         };
-        asm.stamp_sys(ckt, t, h, method, dc, gmin, x, states, &mut sys, None);
+        asm.stamp_sys(ckt, t, h, dc, gmin, x, states, &mut sys, None);
     }
 
     /// Dense reference Newton loop: a fresh dense Jacobian, residual and
@@ -935,7 +923,6 @@ mod tests {
         ckt: &Circuit,
         t: f64,
         h: f64,
-        method: Integration,
         dc: bool,
         opts: &SolverOptions,
         x0: &[f64],
@@ -948,7 +935,7 @@ mod tests {
             let mut jac = Matrix::zeros(n, n);
             let mut res = vec![0.0; n];
             stamp_all(
-                asm, ckt, t, h, method, dc, opts.gmin, &x, states, &mut jac, &mut res,
+                asm, ckt, t, h, dc, opts.gmin, &x, states, &mut jac, &mut res,
             );
             let res_kcl = norm_inf(&res[..nv]);
             let res_branch = if nv < n { norm_inf(&res[nv..]) } else { 0.0 };
@@ -1048,32 +1035,12 @@ mod tests {
                     bypass: false,
                     ..SolverOptions::default()
                 };
-                let (xd, it_d) = solve_point_allocating(
-                    &asm,
-                    &c,
-                    t,
-                    h,
-                    Integration::BackwardEuler,
-                    dc,
-                    &opts,
-                    &x0,
-                    &states,
-                )
-                .unwrap();
+                let (xd, it_d) =
+                    solve_point_allocating(&asm, &c, t, h, dc, &opts, &x0, &states).unwrap();
                 let mut xs = x0.clone();
                 let mut ws = NewtonWorkspace::new(n);
                 let it_s = asm
-                    .solve_point_with(
-                        &c,
-                        t,
-                        h,
-                        Integration::BackwardEuler,
-                        dc,
-                        &opts,
-                        &mut xs,
-                        &states,
-                        &mut ws,
-                    )
+                    .solve_point_with(&c, t, h, dc, &opts, &mut xs, &states, &mut ws)
                     .unwrap();
                 assert_eq!(
                     it_d, it_s,
@@ -1112,7 +1079,6 @@ mod tests {
             &c,
             0.0,
             0.0,
-            Integration::BackwardEuler,
             true,
             &SolverOptions::default(),
             &mut x,
@@ -1146,17 +1112,7 @@ mod tests {
         };
         let mut x = vec![0.0; asm.n_unknowns()];
         let mut ws = NewtonWorkspace::new(asm.n_unknowns());
-        let r = asm.solve_point_with(
-            &c,
-            0.0,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            &opts,
-            &mut x,
-            &states,
-            &mut ws,
-        );
+        let r = asm.solve_point_with(&c, 0.0, 0.0, true, &opts, &mut x, &states, &mut ws);
         assert!(matches!(r, Err(CktError::Convergence { .. })), "{r:?}");
         let tel = instr.get().unwrap();
         assert_eq!(tel.solver.failures.get(), 1);
@@ -1190,7 +1146,6 @@ mod tests {
                 &c,
                 0.0,
                 0.0,
-                Integration::BackwardEuler,
                 true,
                 &SolverOptions {
                     max_v_step: 10.0,
@@ -1221,7 +1176,6 @@ mod tests {
                 &c,
                 0.0,
                 0.0,
-                Integration::BackwardEuler,
                 true,
                 &SolverOptions {
                     max_v_step: 10.0,
@@ -1278,18 +1232,8 @@ mod tests {
             // successive times with the same step size.
             for k in 0..6 {
                 let t = 1e-9 + k as f64 * 1e-9;
-                asm.solve_point_with(
-                    &c,
-                    t,
-                    1e-9,
-                    Integration::BackwardEuler,
-                    false,
-                    &opts,
-                    &mut x,
-                    &states,
-                    &mut ws,
-                )
-                .unwrap();
+                asm.solve_point_with(&c, t, 1e-9, false, &opts, &mut x, &states, &mut ws)
+                    .unwrap();
             }
             let tel = opts.instr.get().unwrap();
             (
@@ -1335,18 +1279,8 @@ mod tests {
         let mut ws = NewtonWorkspace::new(n);
         for k in 0..4 {
             let t = 1e-9 + k as f64 * 1e-9;
-            asm.solve_point_with(
-                &c,
-                t,
-                1e-9,
-                Integration::BackwardEuler,
-                false,
-                &opts,
-                &mut x,
-                &states,
-                &mut ws,
-            )
-            .unwrap();
+            asm.solve_point_with(&c, t, 1e-9, false, &opts, &mut x, &states, &mut ws)
+                .unwrap();
         }
         let tel = opts.instr.get().unwrap();
         assert!(
@@ -1417,32 +1351,12 @@ mod tests {
             let mut xs = vec![0.0; n];
             let mut ws_s = NewtonWorkspace::new(n);
             let it_s = asm
-                .solve_point_with(
-                    &c,
-                    t,
-                    h,
-                    Integration::BackwardEuler,
-                    dc,
-                    &sparse_opts,
-                    &mut xs,
-                    &states,
-                    &mut ws_s,
-                )
+                .solve_point_with(&c, t, h, dc, &sparse_opts, &mut xs, &states, &mut ws_s)
                 .unwrap();
             let mut xb = vec![0.0; n];
             let mut ws_b = NewtonWorkspace::new(n);
             let it_b = asm
-                .solve_point_with(
-                    &c,
-                    t,
-                    h,
-                    Integration::BackwardEuler,
-                    dc,
-                    &bbd_opts,
-                    &mut xb,
-                    &states,
-                    &mut ws_b,
-                )
+                .solve_point_with(&c, t, h, dc, &bbd_opts, &mut xb, &states, &mut ws_b)
                 .unwrap();
             assert_eq!(it_s, it_b, "newton iteration counts diverged (dc={dc})");
             for i in 0..n {
@@ -1478,7 +1392,6 @@ mod tests {
             &c,
             0.0,
             0.0,
-            Integration::BackwardEuler,
             true,
             &SolverOptions {
                 backend: SolverBackend::Bbd,
@@ -1507,18 +1420,8 @@ mod tests {
         };
         let mut x = vec![0.0; asm.n_unknowns()];
         let mut ws = NewtonWorkspace::new(asm.n_unknowns());
-        asm.solve_point_with(
-            &c,
-            0.0,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            &opts,
-            &mut x,
-            &states,
-            &mut ws,
-        )
-        .unwrap();
+        asm.solve_point_with(&c, 0.0, 0.0, true, &opts, &mut x, &states, &mut ws)
+            .unwrap();
         let (blocks, _, classes) = ws.bbd_dims(true).unwrap();
         assert_eq!(blocks, big);
         assert_eq!(classes, 1);
@@ -1536,18 +1439,8 @@ mod tests {
         };
         let mut x2 = vec![0.0; asm2.n_unknowns()];
         let mut ws2 = NewtonWorkspace::new(asm2.n_unknowns());
-        asm2.solve_point_with(
-            &c2,
-            0.0,
-            0.0,
-            Integration::BackwardEuler,
-            true,
-            &opts2,
-            &mut x2,
-            &states2,
-            &mut ws2,
-        )
-        .unwrap();
+        asm2.solve_point_with(&c2, 0.0, 0.0, true, &opts2, &mut x2, &states2, &mut ws2)
+            .unwrap();
         assert!(ws2.bbd_dims(true).is_none());
     }
 
@@ -1572,18 +1465,8 @@ mod tests {
             for _worker in 0..3 {
                 let mut x = vec![0.0; n];
                 let mut ws = NewtonWorkspace::new(n);
-                asm.solve_point_with(
-                    &c,
-                    0.0,
-                    0.0,
-                    Integration::BackwardEuler,
-                    true,
-                    &opts,
-                    &mut x,
-                    &states,
-                    &mut ws,
-                )
-                .unwrap();
+                asm.solve_point_with(&c, 0.0, 0.0, true, &opts, &mut x, &states, &mut ws)
+                    .unwrap();
             }
             let tel = opts.instr.get().unwrap();
             let analyses = if backend == SolverBackend::Sparse {
@@ -1614,33 +1497,13 @@ mod tests {
         };
         let mut x = vec![0.0; n];
         let mut ws = NewtonWorkspace::new(n);
-        asm.solve_point_with(
-            &c,
-            1e-9,
-            1e-9,
-            Integration::BackwardEuler,
-            false,
-            &opts,
-            &mut x,
-            &states,
-            &mut ws,
-        )
-        .unwrap();
+        asm.solve_point_with(&c, 1e-9, 1e-9, false, &opts, &mut x, &states, &mut ws)
+            .unwrap();
         let tel = opts.instr.get().unwrap();
         let factors_before = tel.solver.sparse_refactors.get();
         assert!(factors_before > 0);
-        asm.solve_point_with(
-            &c,
-            1.5e-9,
-            0.5e-9,
-            Integration::BackwardEuler,
-            false,
-            &opts,
-            &mut x,
-            &states,
-            &mut ws,
-        )
-        .unwrap();
+        asm.solve_point_with(&c, 1.5e-9, 0.5e-9, false, &opts, &mut x, &states, &mut ws)
+            .unwrap();
         assert!(
             tel.solver.sparse_refactors.get() > factors_before,
             "h change did not trigger a refactor"

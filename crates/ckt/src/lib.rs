@@ -20,17 +20,16 @@
 //!   array-supplied bordered-block-diagonal partition to the engine, and
 //!   [`plan::AnalysisCache`] shares one symbolic analysis per pattern
 //!   across parallel sweep workers.
-//! - [`parallel`] — std-only fan-out: scoped-thread
-//!   [`parallel::parallel_map`] and the process-wide persistent
+//! - [`parallel`] — std-only fan-out: the process-wide persistent
 //!   work-stealing pool behind [`parallel::pool_map`], shared by array
 //!   sweeps, Monte Carlo evaluation, and the yield engine.
 //! - [`dc`] — DC operating point via Newton with gmin stepping, plus
 //!   source sweeps.
 //! - [`ac`] — small-signal frequency-domain analysis around a bias
 //!   point (including the ferroelectric's negative capacitance).
-//! - [`transient`] — implicit (backward-Euler / trapezoidal) transient
-//!   analysis with per-step Newton, waveform breakpoints and per-source
-//!   energy metering. One stepping loop records either every signal
+//! - [`transient`] — fixed-step backward-Euler transient analysis with
+//!   per-step Newton, waveform breakpoints and per-source energy
+//!   metering. One stepping loop records either every signal
 //!   ([`transient::transient`]) or only a probe list
 //!   ([`transient::transient_probes`]).
 //! - [`trace`] — recorded waveforms plus measurement helpers (threshold

@@ -1,33 +1,33 @@
-//! Transient analysis: implicit time stepping with per-step Newton,
-//! waveform breakpoint alignment, automatic step halving on convergence
-//! failure, and per-source energy metering. One stepping loop feeds one
-//! of two recorders: the full-waveform [`Trace`] ([`transient`]) or a
-//! probe list ([`transient_probes`]).
+//! Transient analysis: backward-Euler time stepping at a fixed nominal
+//! step with per-step Newton, waveform breakpoint alignment, automatic
+//! step halving on convergence failure, and per-source energy metering.
+//! One stepping loop feeds one of two recorders: the full-waveform
+//! [`Trace`] ([`transient`]) or a probe list ([`transient_probes`]).
 
 use crate::circuit::Circuit;
-use crate::elements::{ElemState, Element, EvalCtx, Integration, Node};
+use crate::elements::{ElemState, Element, EvalCtx, Node};
 use crate::engine::{Assembly, NewtonWorkspace, SolverOptions};
 use crate::trace::Trace;
 use crate::{CktError, Result};
 use fefet_numerics::quad::RunningIntegral;
 use fefet_telemetry::TraceEvent;
 
-/// Bounded accepted-point history for the LTE step controller: the times
-/// and node-voltage parts of the last (up to) three accepted solutions,
-/// held in fixed buffers so that accepting a step never allocates.
+/// The last (up to) two accepted points for step prediction: times and
+/// node-voltage parts, held in fixed buffers so that accepting a step
+/// never allocates.
 #[derive(Debug)]
 struct NodeHistory {
-    times: [f64; 3],
-    bufs: [Vec<f64>; 3],
+    times: [f64; 2],
+    bufs: [Vec<f64>; 2],
     len: usize,
 }
 
 impl NodeHistory {
-    // fefet-lint: allow-item(hot-alloc) -- history ring buffers are allocated once per run, then rotated in place
+    // fefet-lint: allow-item(hot-alloc) -- history buffers are allocated once per run, then rotated in place
     fn new(nv: usize) -> Self {
         NodeHistory {
-            times: [0.0; 3],
-            bufs: [vec![0.0; nv], vec![0.0; nv], vec![0.0; nv]],
+            times: [0.0; 2],
+            bufs: [vec![0.0; nv], vec![0.0; nv]],
             len: 0,
         }
     }
@@ -37,7 +37,7 @@ impl NodeHistory {
     }
 
     /// Records an accepted point, dropping the oldest once full. Only
-    /// the node-voltage prefix of `x` is kept — all the controller uses.
+    /// the node-voltage prefix of `x` is kept — all the predictor uses.
     fn push(&mut self, t: f64, x: &[f64]) {
         let nv = self.bufs[0].len();
         if self.len == self.bufs.len() {
@@ -57,70 +57,32 @@ impl NodeHistory {
         if self.len < 2 {
             return None;
         }
-        let i1 = self.len - 1;
-        let i0 = self.len - 2;
         Some((
-            (self.times[i0], self.bufs[i0].as_slice()),
-            (self.times[i1], self.bufs[i1].as_slice()),
+            (self.times[0], self.bufs[0].as_slice()),
+            (self.times[1], self.bufs[1].as_slice()),
         ))
     }
 }
 
-/// How the initial condition at `t = 0` is established.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum StartMode {
-    /// Use the provided node initial conditions directly (SPICE `UIC`).
-    /// All unspecified nodes start at 0 V; dynamic elements take their
-    /// own initial state (capacitor voltage from the node ICs, FE
-    /// polarization from `p0`). This is the default: memory simulations
-    /// start from a quiescent, grounded array.
-    #[default]
-    UseIcs,
-    /// Solve a DC operating point at the `t = 0` stimulus values first.
-    DcOperatingPoint,
-}
-
-/// Local-truncation-error step control (SPICE-style): the second
-/// derivative of each node voltage is estimated from the last three
-/// accepted points and the step is grown or shrunk to hold the estimated
-/// LTE inside `atol + rtol·|v|`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LteControl {
-    /// Relative tolerance on node voltages (dimensionless).
-    pub rtol: f64,
-    /// Absolute tolerance on node voltages (V).
-    pub atol: f64,
-    /// Largest step the controller may grow to (s); `0.0` = 50× nominal.
-    pub dt_max: f64,
-}
-
-impl Default for LteControl {
-    fn default() -> Self {
-        LteControl {
-            rtol: 1e-3,
-            atol: 50e-6,
-            dt_max: 0.0,
-        }
-    }
-}
-
-/// Options for [`transient`].
+/// Options for [`transient`] and [`transient_probes`].
+///
+/// Every step is backward Euler at the nominal `dt`, shortened only to
+/// land on a waveform corner or halved (down to `dt_min`) when Newton
+/// fails. The run starts from the node initial conditions (SPICE `UIC`):
+/// unlisted nodes at 0 V, capacitors at their node-IC voltage, FE
+/// polarizations at their `p0`. Memory simulations start from a
+/// quiescent, grounded array; for a settled start, solve
+/// [`crate::dc::dc_operating_point`] and pass its node voltages here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransientOptions {
     /// Nominal time step (s); `0.0` selects `t_end / 2000`.
     pub dt: f64,
     /// Smallest step (s) before giving up; `0.0` selects `dt / 1e7`.
     pub dt_min: f64,
-    /// Integration method (backward Euler by default).
-    pub method: Integration,
     /// Newton solver settings.
     pub solver: SolverOptions,
     /// Initial node voltages; unlisted nodes start at 0 V.
     pub node_ics: Vec<(Node, f64)>,
-    /// Initial-condition mode.
-    pub start: StartMode,
-    /// Optional adaptive step control; `None` keeps fixed stepping.
-    pub lte: Option<LteControl>,
     /// Step prediction: start each Newton solve from a linear
     /// extrapolation of the last two accepted node vectors instead of
     /// the previous solution. Cuts Newton iterations on smooth segments
@@ -136,11 +98,8 @@ impl Default for TransientOptions {
         TransientOptions {
             dt: 0.0,
             dt_min: 0.0,
-            method: Integration::BackwardEuler,
             solver: SolverOptions::default(),
             node_ics: Vec::new(),
-            start: StartMode::UseIcs,
-            lte: None,
             predict: true,
         }
     }
@@ -254,13 +213,12 @@ impl<'a> Point<'a> {
 }
 
 /// Element-current evaluation shared by the recorders: every current is
-/// evaluated with the nominal step and the run's method, so both record
-/// the same value for the same point.
+/// evaluated with the nominal step, so both record the same value for
+/// the same point.
 struct Sampler<'a> {
     ckt: &'a Circuit,
     asm: &'a Assembly,
     h: f64,
-    method: Integration,
 }
 
 impl Sampler<'_> {
@@ -268,7 +226,6 @@ impl Sampler<'_> {
         let ctx = EvalCtx {
             t: p.t,
             h: self.h,
-            method: self.method,
             dc: false,
             x: p.x,
             state: p.states[elem],
@@ -573,20 +530,6 @@ fn run<R: Recorder>(
             x[node.index() - 1] = *v;
         }
     }
-    if opts.start == StartMode::DcOperatingPoint {
-        let states: Vec<ElemState> = ckt.elements().iter().map(|_| ElemState::None).collect();
-        asm.solve_point_with(
-            ckt,
-            0.0,
-            0.0,
-            opts.method,
-            true,
-            &opts.solver,
-            &mut x,
-            &states,
-            &mut ws,
-        )?;
-    }
 
     // Element states at t = 0.
     let mut states: Vec<ElemState> = ckt
@@ -645,7 +588,6 @@ fn run<R: Recorder>(
         ckt,
         asm: &asm,
         h: dt_nom,
-        method: opts.method,
     };
     rec.accepted(&sampler, Point::new(0.0, &x, &states));
     meter_push(0.0, &x, &mut meters)?;
@@ -653,19 +595,11 @@ fn run<R: Recorder>(
 
     let mut t = 0.0;
     let mut bp_cursor = 0usize;
-    // The step following t=0 or any waveform corner uses backward Euler:
-    // trapezoidal integration would otherwise propagate the (unknowable)
-    // pre-corner derivative into the new segment.
+    // True at t = 0 and on a waveform corner, where the derivative is
+    // discontinuous and the step is not predicted.
     let mut at_corner = true;
-    // LTE history: the two previous accepted points (time and voltages).
-    let dt_max = opts.lte.map(|l| {
-        if l.dt_max > 0.0 {
-            l.dt_max
-        } else {
-            50.0 * dt_nom
-        }
-    });
-    let mut dt_ctrl = dt_nom;
+    // Predictor history: the two previous accepted points (time and
+    // voltages).
     let nv = ckt.n_nodes() - 1;
     let mut hist = NodeHistory::new(nv);
     hist.push(0.0, &x);
@@ -685,12 +619,7 @@ fn run<R: Recorder>(
         } else {
             t_end
         };
-        let step_method = if at_corner {
-            Integration::BackwardEuler
-        } else {
-            opts.method
-        };
-        let mut dt_try = dt_ctrl.min(t_ceiling - t);
+        let mut dt_try = dt_nom.min(t_ceiling - t);
         // Halving from dt_nom to dt_min covers ~23 attempts at the
         // default ratio; the cap turns a pathological reject cycle into
         // a typed error instead of an unbounded retry loop.
@@ -730,7 +659,6 @@ fn run<R: Recorder>(
                 ckt,
                 t_attempt,
                 t_attempt - t,
-                step_method,
                 false,
                 &opts.solver,
                 &mut x_new,
@@ -739,42 +667,6 @@ fn run<R: Recorder>(
             );
             match solved {
                 Ok(_) => {
-                    // LTE acceptance test (only with 2+ history points and
-                    // away from waveform corners, where the derivative is
-                    // legitimately discontinuous).
-                    if let (Some(lte), true, Some(((t0, x0), (t1, x1)))) =
-                        (opts.lte, !at_corner, hist.last_two())
-                    {
-                        let h1 = t_attempt - t1;
-                        let h0 = t1 - t0;
-                        if h0 > 0.0 && h1 > 0.0 {
-                            let mut err: f64 = 0.0;
-                            for i in 0..nv {
-                                let d1 = (x_new[i] - x1[i]) / h1;
-                                let d0 = (x1[i] - x0[i]) / h0;
-                                let d2 = 2.0 * (d1 - d0) / (h1 + h0);
-                                let lte_est = 0.5 * h1 * h1 * d2;
-                                let scale = lte.atol + lte.rtol * x_new[i].abs();
-                                err = err.max((lte_est / scale).abs());
-                            }
-                            if err > 1.0 && dt_try > dt_min * 4.0 {
-                                if let Some(tel) = opts.solver.instr.get() {
-                                    tel.steps.rejected_lte.inc();
-                                }
-                                dt_try *= (0.9 / err.sqrt()).clamp(0.2, 0.9);
-                                continue;
-                            }
-                            // Accepted: plan the next step size.
-                            let grow = if err > 0.0 {
-                                (0.9 / err.sqrt()).clamp(0.3, 2.0)
-                            } else {
-                                2.0
-                            };
-                            dt_ctrl = (dt_try * grow)
-                                .min(dt_max.unwrap_or(f64::INFINITY))
-                                .max(dt_min);
-                        }
-                    }
                     accepted = Some(t_attempt);
                     break;
                 }
@@ -813,7 +705,6 @@ fn run<R: Recorder>(
             let ctx = EvalCtx {
                 t: t_new,
                 h,
-                method: step_method,
                 dc: false,
                 x: &x_new,
                 state: states[i],
@@ -838,15 +729,11 @@ fn run<R: Recorder>(
             .instr
             .profile_end(step_t0, TraceEvent::TransientStep, (h * 1e15) as u64);
         if at_corner {
-            // Restart the controller after a stimulus corner.
-            dt_ctrl = dt_nom;
+            // No prediction across a stimulus corner.
             hist.clear();
         }
         t = t_new;
         hist.push(t, &x);
-        if opts.lte.is_none() {
-            dt_ctrl = dt_nom;
-        }
         steps += 1;
         rec.accepted(&sampler, Point::new(t, &x, &states));
         meter_push(t, &x, &mut meters)?;
@@ -890,7 +777,6 @@ mod tests {
             5.0 * tau,
             TransientOptions {
                 dt: tau / 400.0,
-                method: Integration::Trapezoidal,
                 ..TransientOptions::default()
             },
         )
@@ -922,7 +808,6 @@ mod tests {
             20e-6, // 20 tau: fully settled
             TransientOptions {
                 dt: 10e-9,
-                method: Integration::Trapezoidal,
                 ..TransientOptions::default()
             },
         )
@@ -1031,26 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn dc_start_mode_begins_settled() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        c.vsource("V1", a, Circuit::GND, Waveform::dc(2.0));
-        c.resistor("R1", a, b, 1e3);
-        c.resistor("R2", b, Circuit::GND, 1e3);
-        let tr = transient(
-            &c,
-            1e-9,
-            TransientOptions {
-                start: StartMode::DcOperatingPoint,
-                ..TransientOptions::default()
-            },
-        )
-        .unwrap();
-        assert!((tr.signal("v(b)").unwrap()[0] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn node_ics_respected() {
         // Pre-charged capacitor discharging through a resistor.
         let mut c = Circuit::new();
@@ -1063,7 +928,6 @@ mod tests {
             TransientOptions {
                 dt: 5e-9,
                 node_ics: vec![(a, 1.0)],
-                method: Integration::Trapezoidal,
                 ..TransientOptions::default()
             },
         )
@@ -1182,112 +1046,6 @@ mod tests {
     }
 
     #[test]
-    fn lte_adaptive_uses_fewer_steps_at_equal_accuracy() {
-        // RC step response: the adaptive controller takes big steps on the
-        // settled tail and still matches the analytic curve.
-        let build = || {
-            let mut c = Circuit::new();
-            let vin = c.node("in");
-            let vout = c.node("out");
-            c.vsource(
-                "V1",
-                vin,
-                Circuit::GND,
-                Waveform::pulse(0.0, 1.0, 0.1e-6, 10e-9, 10e-9, 100e-6),
-            );
-            c.resistor("R1", vin, vout, 1e3);
-            c.capacitor("C1", vout, Circuit::GND, 1e-9);
-            c
-        };
-        let fixed = transient(
-            &build(),
-            20e-6,
-            TransientOptions {
-                dt: 10e-9,
-                ..TransientOptions::default()
-            },
-        )
-        .unwrap();
-        let adaptive = transient(
-            &build(),
-            20e-6,
-            TransientOptions {
-                dt: 10e-9,
-                lte: Some(LteControl::default()),
-                ..TransientOptions::default()
-            },
-        )
-        .unwrap();
-        // Accuracy: both match the analytic value at 1 tau after the edge.
-        let exact = 1.0 - (-1.0f64).exp();
-        let t_probe = 0.1e-6 + 10e-9 + 1e-6;
-        for tr in [&fixed, &adaptive] {
-            let v = tr.value_at("v(out)", t_probe).unwrap();
-            assert!((v - exact).abs() < 5e-3, "value {v} vs {exact}");
-        }
-        // Efficiency: adaptive takes far fewer samples.
-        assert!(
-            adaptive.time().len() * 3 < fixed.time().len(),
-            "adaptive {} vs fixed {} samples",
-            adaptive.time().len(),
-            fixed.time().len()
-        );
-    }
-
-    #[test]
-    fn lte_adaptive_resolves_fefet_switching() {
-        // The controller must shrink steps through the polarization jump:
-        // final state matches the fixed-step reference.
-        use crate::models::FeCapParams;
-        let build = || {
-            let mut c = Circuit::new();
-            let a = c.node("a");
-            let f = c.node("f");
-            c.vsource(
-                "V1",
-                a,
-                Circuit::GND,
-                Waveform::pulse(0.0, 2.0, 1e-9, 0.1e-9, 0.1e-9, 3e-9),
-            );
-            c.resistor("R1", a, f, 100.0);
-            c.fecap(
-                "F1",
-                f,
-                Circuit::GND,
-                FeCapParams::new(1e-9, 65e-9 * 65e-9),
-                -0.46,
-            );
-            c
-        };
-        let fixed = transient(
-            &build(),
-            6e-9,
-            TransientOptions {
-                dt: 2e-12,
-                ..TransientOptions::default()
-            },
-        )
-        .unwrap();
-        let adaptive = transient(
-            &build(),
-            6e-9,
-            TransientOptions {
-                dt: 2e-12,
-                lte: Some(LteControl::default()),
-                ..TransientOptions::default()
-            },
-        )
-        .unwrap();
-        let p_fixed = fixed.last("p(F1)").unwrap();
-        let p_adapt = adaptive.last("p(F1)").unwrap();
-        assert!(p_fixed > 0.4, "reference must switch");
-        assert!(
-            (p_adapt - p_fixed).abs() < 0.03,
-            "adaptive {p_adapt} vs fixed {p_fixed}"
-        );
-    }
-
-    #[test]
     fn rl_current_rise_matches_analytic() {
         // Series RL step: i(t) = (V/R)(1 - e^{-tR/L}).
         let mut c = Circuit::new();
@@ -1302,7 +1060,6 @@ mod tests {
             5.0 * tau,
             TransientOptions {
                 dt: tau / 200.0,
-                method: Integration::Trapezoidal,
                 ..TransientOptions::default()
             },
         )
@@ -1332,7 +1089,6 @@ mod tests {
             2.0 * period,
             TransientOptions {
                 dt: period / 400.0,
-                method: Integration::Trapezoidal,
                 node_ics: vec![(a, 1.0)],
                 ..TransientOptions::default()
             },
@@ -1350,28 +1106,6 @@ mod tests {
         // Oscillation survives to the second period with modest decay.
         let v_peak2 = tr.window_max("v(a)", 0.9 * period, 1.1 * period).unwrap();
         assert!(v_peak2 > 0.8, "peak after one period {v_peak2}");
-    }
-
-    #[test]
-    fn inductor_is_short_in_dc_start() {
-        let mut c = Circuit::new();
-        let vin = c.node("in");
-        let mid = c.node("mid");
-        c.vsource("V1", vin, Circuit::GND, Waveform::dc(2.0));
-        c.resistor("R1", vin, mid, 1e3);
-        c.inductor("L1", mid, Circuit::GND, 1e-3);
-        let tr = transient(
-            &c,
-            1e-9,
-            TransientOptions {
-                start: StartMode::DcOperatingPoint,
-                ..TransientOptions::default()
-            },
-        )
-        .unwrap();
-        // DC: inductor shorts mid to ground, current = 2 mA.
-        assert!(tr.signal("v(mid)").unwrap()[0].abs() < 1e-6);
-        assert!((tr.signal("i(L1)").unwrap()[0] - 2e-3).abs() < 1e-8);
     }
 
     /// A pulsed FE cap behind a MOSFET: nonlinear currents, a
@@ -1406,9 +1140,10 @@ mod tests {
     #[test]
     fn probes_match_the_full_trace_bit_for_bit() {
         let c = probe_fixture();
+        // 37 ps is incommensurate with the pulse corners, so snapping
+        // leaves uneven steps around them.
         let opts = || TransientOptions {
             dt: 37e-12,
-            lte: Some(LteControl::default()),
             ..TransientOptions::default()
         };
         let t_end = 4e-9;
@@ -1503,41 +1238,5 @@ mod tests {
     fn rejects_bad_t_end() {
         let c = Circuit::new();
         assert!(transient(&c, 0.0, TransientOptions::default()).is_err());
-    }
-
-    #[test]
-    fn trapezoidal_more_accurate_than_be_on_rc() {
-        // Discharging RC from a node IC: smooth exponential with no input
-        // discontinuity, so the trapezoidal rule's second order shows.
-        let build = || {
-            let mut c = Circuit::new();
-            let a = c.node("a");
-            c.capacitor("C1", a, Circuit::GND, 1e-9);
-            c.resistor("R1", a, Circuit::GND, 1e3);
-            c
-        };
-        let run = |method| {
-            let c = build();
-            let a = c.find_node("a").unwrap();
-            let tr = transient(
-                &c,
-                2e-6,
-                TransientOptions {
-                    dt: 50e-9,
-                    method,
-                    node_ics: vec![(a, 1.0)],
-                    ..TransientOptions::default()
-                },
-            )
-            .unwrap();
-            tr.value_at("v(a)", 1e-6).unwrap()
-        };
-        let exact = (-1.0f64).exp();
-        let err_be = (run(Integration::BackwardEuler) - exact).abs();
-        let err_tr = (run(Integration::Trapezoidal) - exact).abs();
-        assert!(
-            err_tr < err_be,
-            "trap ({err_tr:.2e}) should beat BE ({err_be:.2e})"
-        );
     }
 }

@@ -9,7 +9,7 @@
 pub enum Waveform {
     /// Constant value.
     Dc(f64),
-    /// Trapezoidal pulse (optionally periodic), SPICE `PULSE(...)` style.
+    /// Trapezoid-shaped pulse (optionally periodic), SPICE `PULSE(...)` style.
     Pulse(Pulse),
     /// Piecewise-linear `(t, v)` points; constant before the first and
     /// after the last point.

@@ -37,7 +37,7 @@
 use crate::array::FefetArray;
 use crate::cell::FefetCell;
 use fefet_ckt::circuit::Circuit;
-use fefet_ckt::elements::{ElemState, EvalCtx, Integration};
+use fefet_ckt::elements::{ElemState, EvalCtx};
 use fefet_ckt::engine::{Assembly, NewtonWorkspace, SolverBackend, SolverOptions};
 use fefet_ckt::parallel::pool_map;
 use fefet_ckt::plan::AnalysisCache;
@@ -357,7 +357,9 @@ pub struct YieldReport {
     /// Read-margin histogram (half-decade buckets from 10⁻² to 10¹⁰),
     /// serialized JSON.
     pub margin_hist_json: String,
-    /// Disturb polarization-shift distribution (C/m² samples).
+    /// Disturb polarization-shift distribution (C/m² samples) over the
+    /// trials whose disturb stress settled; a failed settle (shift
+    /// reported as +∞) counts against `disturb_yield` only.
     pub disturb: StreamStats,
     /// Warm Newton iterations per trial (dimensionless counts).
     pub warm_iters: StreamStats,
@@ -501,7 +503,6 @@ fn advance_states(
         let ctx = EvalCtx {
             t,
             h,
-            method: Integration::BackwardEuler,
             dc: false,
             x,
             state: states[k],
@@ -619,15 +620,7 @@ impl YieldEngine {
         let mut boot_iters = 0u64;
         for _ in 0..K_BOOT {
             let iters = asm.solve_point_with(
-                &circuit,
-                T_BIAS,
-                H_STEP,
-                Integration::BackwardEuler,
-                false,
-                &opts,
-                &mut x,
-                &states,
-                &mut ws,
+                &circuit, T_BIAS, H_STEP, false, &opts, &mut x, &states, &mut ws,
             )?;
             boot_iters += iters as u64;
             advance_states(&circuit, &asm, T_BIAS, H_STEP, &x, &mut states);
@@ -802,7 +795,11 @@ impl YieldEngine {
                 for (g, c) in shmoo_counts.iter_mut().enumerate() {
                     *c += (o.shmoo_pass >> g) & 1;
                 }
-                disturb_s.push(o.disturb_dp);
+                // One +∞ sample (a failed settle) would leave the mean
+                // infinite and the variance NaN for the rest of the run.
+                if o.disturb_dp.is_finite() {
+                    disturb_s.push(o.disturb_dp);
+                }
                 if o.disturb_dp <= spec.disturb_max_dp {
                     disturb_pass += 1;
                 }
@@ -921,7 +918,6 @@ fn trial_body(
                 &scratch.circuit,
                 T_BIAS,
                 H_STEP,
-                Integration::BackwardEuler,
                 false,
                 opts,
                 &mut scratch.x,
@@ -1182,6 +1178,32 @@ mod tests {
         json::validate(&json_text).expect("yield report must be valid JSON");
         assert!(json_text.contains("\"write_shmoo\""));
         assert!(json_text.contains("\"worst_corner\""));
+    }
+
+    /// A trial whose disturb settle fails reports an infinite shift: it
+    /// fails the disturb yield but stays out of the shift statistics.
+    #[test]
+    fn failed_disturb_settles_do_not_poison_the_disturb_stats() {
+        let ok = YieldEngine::new(FefetCell::default(), small_spec(), Instrumentation::off())
+            .expect("engine")
+            .run();
+        assert_eq!(ok.disturb.n, 8);
+        // A NaN stress makes every settle fail.
+        let spec = YieldSpec {
+            disturb_v: f64::NAN,
+            ..small_spec()
+        };
+        let engine =
+            YieldEngine::new(FefetCell::default(), spec, Instrumentation::off()).expect("engine");
+        let report = engine.run();
+        assert_eq!(report.disturb_yield, 0.0);
+        assert_eq!(report.disturb.n, 0);
+        assert!(report.disturb.mean.is_finite() && report.disturb.std.is_finite());
+        let json_text = report.to_run_report(engine.spec()).to_json();
+        assert!(
+            json_text.contains("\"disturb_dp\": {\"n\":0,\"mean\":0e0,\"std\":0e0,"),
+            "{json_text}"
+        );
     }
 
     #[test]

@@ -5,15 +5,9 @@
 //!
 //! - [`complex`] — complex arithmetic and dense complex solves for AC
 //!   (frequency-domain) analysis.
-//! - [`linalg`] — dense matrices, LU factorization with partial pivoting,
-//!   and linear solves (the inner kernel of modified nodal analysis).
-//! - [`roots`] — scalar and multidimensional Newton-Raphson (with damping),
-//!   bisection and Brent's method.
-//! - [`ode`] — explicit RK4, adaptive RKF45, and implicit (backward-Euler /
-//!   trapezoidal) integrators for stiff polarization dynamics.
-//! - [`interp`] — piecewise-linear and monotone-cubic interpolation for
-//!   waveforms and tabulated device data.
-//! - [`quad`] — quadrature (trapezoid, Simpson) and running integrals for
+//! - [`linalg`] — dense matrices and the one dense LU with partial
+//!   pivoting (the BBD border's Schur complement, small solves).
+//! - [`quad`] — sample-based trapezoid integrals (batch and running) for
 //!   energy metering.
 //! - [`rng`] — seedable, dependency-free pseudo-random numbers for the
 //!   Monte-Carlo and harvester-trace machinery.
@@ -47,12 +41,9 @@
 
 pub mod bbd;
 pub mod complex;
-pub mod interp;
 pub mod linalg;
-pub mod ode;
 pub mod quad;
 pub mod rng;
-pub mod roots;
 pub mod sparse;
 
 mod error;

@@ -1,9 +1,8 @@
 //! Dense linear algebra: matrices, LU factorization, linear solves.
 //!
 //! [`LuWorkspace`] is the one dense LU with partial pivoting. It serves
-//! the small dense systems: the BBD backend's border Schur complement,
-//! the N-dimensional Newton solver in [`crate::roots`], and
-//! [`Matrix::solve`]. Circuit (MNA) Jacobians go through the sparse LU
+//! the small dense systems: the BBD backend's border Schur complement
+//! and [`Matrix::solve`]. Circuit (MNA) Jacobians go through the sparse LU
 //! in [`crate::sparse`] at every size.
 
 use crate::{Error, Result};
@@ -441,26 +440,9 @@ impl LuWorkspace {
     }
 }
 
-/// Euclidean norm of a vector.
-pub fn norm2(v: &[f64]) -> f64 {
-    v.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
 /// Infinity norm of a vector.
 pub fn norm_inf(v: &[f64]) -> f64 {
     v.iter().fold(0.0, |m, x| m.max(x.abs()))
-}
-
-/// `y += alpha * x`, element-wise.
-///
-/// # Panics
-///
-/// Panics if slices have different lengths.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
 }
 
 #[cfg(test)]
@@ -573,17 +555,9 @@ mod tests {
 
     #[test]
     fn norms() {
-        assert_close(norm2(&[3.0, 4.0]), 5.0, 1e-15);
         assert_close(norm_inf(&[1.0, -7.0, 3.0]), 7.0, 0.0);
         let m = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, 0.5]]).unwrap();
         assert_close(m.norm_inf(), 3.5, 1e-15);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, -1.0], &mut y);
-        assert_eq!(y, vec![3.0, -1.0]);
     }
 
     #[test]

@@ -6,12 +6,9 @@
 //! index so a shrunk reproduction is one seed away.
 
 use fefet_numerics::complex::{CMatrix, Complex};
-use fefet_numerics::interp::{Linear, MonotoneCubic};
 use fefet_numerics::linalg::{norm_inf, LuWorkspace, Matrix};
-use fefet_numerics::ode::{implicit, rk4, ImplicitMethod};
-use fefet_numerics::quad::{cumulative_trapezoid, trapezoid_samples, RunningIntegral};
+use fefet_numerics::quad::{trapezoid_samples, RunningIntegral};
 use fefet_numerics::rng::Rng;
-use fefet_numerics::roots::{brent, newton_scalar, NewtonOptions};
 
 const CASES: usize = 64;
 
@@ -136,117 +133,6 @@ fn lu_determinant_sign_consistent_with_solvability() {
         let det = lu.det().unwrap();
         // Diagonally dominant with positive diagonal => det > 0.
         assert!(det > 0.0, "case {case}: det {det}");
-    }
-}
-
-#[test]
-fn newton_scalar_finds_cubic_roots() {
-    let mut rng = Rng::seed_from_u64(0x1003);
-    for case in 0..CASES {
-        let a = rng.uniform_in(0.5, 5.0);
-        // x^3 = a^3 has the single real root x = a.
-        let r = newton_scalar(
-            |x| (x * x * x - a * a * a, 3.0 * x * x),
-            a * 2.0,
-            NewtonOptions::default(),
-        )
-        .unwrap();
-        assert!((r - a).abs() < 1e-6, "case {case}: root {r} vs {a}");
-    }
-}
-
-#[test]
-fn brent_always_finds_bracketed_root() {
-    let mut rng = Rng::seed_from_u64(0x1004);
-    for case in 0..CASES {
-        let shift = rng.uniform_in(-0.9, 0.9);
-        let r = brent(|x| x - shift, -1.0, 1.0, 1e-13, 200).unwrap();
-        assert!((r - shift).abs() < 1e-10, "case {case}: root {r}");
-    }
-}
-
-#[test]
-fn rk4_matches_exact_linear_decay() {
-    let mut rng = Rng::seed_from_u64(0x1005);
-    for case in 0..CASES {
-        let lambda = rng.uniform_in(0.1, 5.0);
-        let y0 = rng.uniform_in(0.1, 10.0);
-        let sol = rk4(|_t, y, dy| dy[0] = -lambda * y[0], 0.0, &[y0], 1.0, 200).unwrap();
-        let exact = y0 * (-lambda).exp();
-        let got = sol.last().unwrap().y[0];
-        assert!(
-            (got - exact).abs() < 1e-6 * y0,
-            "case {case}: {got} vs {exact}"
-        );
-    }
-}
-
-#[test]
-fn implicit_trap_matches_exact_linear_decay() {
-    let mut rng = Rng::seed_from_u64(0x1006);
-    for case in 0..CASES {
-        let lambda = rng.uniform_in(0.1, 5.0);
-        let sol = implicit(
-            |_t, y, dy| dy[0] = -lambda * y[0],
-            0.0,
-            &[1.0],
-            1.0,
-            100,
-            ImplicitMethod::Trapezoidal,
-        )
-        .unwrap();
-        let exact = (-lambda).exp();
-        let got = sol.last().unwrap().y[0];
-        assert!((got - exact).abs() < 1e-3, "case {case}: {got} vs {exact}");
-    }
-}
-
-#[test]
-fn linear_interp_is_bounded_by_data() {
-    let mut rng = Rng::seed_from_u64(0x1007);
-    for case in 0..CASES {
-        let ys = vec_in(&mut rng, -10.0, 10.0, 5);
-        let x = rng.uniform_in(0.0, 4.0);
-        let xs = vec![0.0, 1.0, 2.0, 3.0, 4.0];
-        let lo = ys.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let f = Linear::new(xs, ys).unwrap();
-        let y = f.eval(x);
-        assert!(y >= lo - 1e-12 && y <= hi + 1e-12, "case {case}: {y}");
-    }
-}
-
-#[test]
-fn monotone_cubic_preserves_monotonicity() {
-    let mut rng = Rng::seed_from_u64(0x1008);
-    for case in 0..CASES {
-        let incs = vec_in(&mut rng, 0.0, 5.0, 6);
-        let x1 = rng.uniform_in(0.0, 5.0);
-        let x2 = rng.uniform_in(0.0, 5.0);
-        let xs = vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
-        let mut ys = vec![0.0];
-        for inc in &incs[..5] {
-            ys.push(ys.last().unwrap() + inc);
-        }
-        let f = MonotoneCubic::new(xs, ys).unwrap();
-        let (lo, hi) = if x1 <= x2 { (x1, x2) } else { (x2, x1) };
-        assert!(
-            f.eval(hi) >= f.eval(lo) - 1e-9,
-            "case {case}: non-monotone at [{lo}, {hi}]"
-        );
-    }
-}
-
-#[test]
-fn cumulative_trapezoid_is_monotone_for_nonnegative_integrand() {
-    let mut rng = Rng::seed_from_u64(0x1009);
-    for case in 0..CASES {
-        let ys = vec_in(&mut rng, 0.0, 10.0, 20);
-        let ts: Vec<f64> = (0..20).map(|i| i as f64 * 0.1).collect();
-        let cum = cumulative_trapezoid(&ts, &ys).unwrap();
-        for w in cum.windows(2) {
-            assert!(w[1] >= w[0], "case {case}: decreasing cumulative integral");
-        }
     }
 }
 

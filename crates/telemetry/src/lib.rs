@@ -27,7 +27,7 @@
 //! it is a `None` check — the solver's hot loop sees one predictable
 //! branch per *solve* (not per iteration) and no clock reads. On, all
 //! counter recording is relaxed-atomic and allocation-free, so one
-//! `Telemetry` shared across `parallel_map` workers aggregates without
+//! `Telemetry` shared across `pool_map` workers aggregates without
 //! locks and the alloctrack warm-solve invariant holds in both states.
 //! Timing is profiling-only: the clock is read, and trace events and
 //! [`LatencyStats`] samples recorded, only once a trace recorder is
@@ -190,7 +190,9 @@ pub struct StepStats {
     pub accepted: Counter,
     /// Steps rejected because Newton failed (dt halved).
     pub rejected_newton: Counter,
-    /// Steps rejected by local-truncation-error control.
+    /// Steps rejected by local-truncation-error control. The transient
+    /// runs fixed-step backward Euler with no error control, so this
+    /// stays 0; it is kept for readers of the step breakdown.
     pub rejected_lte: Counter,
     /// Accepted steps that landed on a waveform corner via snapping.
     pub corner_snaps: Counter,
@@ -668,7 +670,7 @@ impl Telemetry {
 /// Defaults to **off** (`None`): the hot path pays one branch per
 /// solve/step and records nothing. [`Instrumentation::enabled`] turns
 /// it on with a fresh [`Telemetry`]; cloning the handle shares the same
-/// underlying `Arc<Telemetry>`, which is how `parallel_map` workers
+/// underlying `Arc<Telemetry>`, which is how `pool_map` workers
 /// aggregate into one snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct Instrumentation(Option<Arc<Telemetry>>);

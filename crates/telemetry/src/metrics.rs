@@ -2,7 +2,7 @@
 //! distribution type, [`crate::QuantileHistogram`], builds on them.
 //!
 //! Every recording operation is a handful of relaxed atomic updates —
-//! no locks, no allocation — so `parallel_map` workers sharing one
+//! no locks, no allocation — so `pool_map` workers sharing one
 //! [`crate::Telemetry`] through an `Arc` aggregate without contention
 //! on the hot path, and the instrumented Newton warm path stays
 //! allocation-free (pinned by the alloctrack test suite).
